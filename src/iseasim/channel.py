@@ -182,16 +182,16 @@ def ideal_average(estimates) -> np.ndarray:
     return X.mean(axis=0)
 
 
-def _design_column(design, channel, n):
-    """tx column and rx entry for slot/subcarrier n; a TDM design stored
-    with one column repeats across the frame."""
-    if design.tx.shape[1] == channel.num_slots:
-        return design.tx[:, n], design.rx[n]
+def _design_columns(design, channel):
+    """tx (K, S) and rx (S,) for the S slots/subcarriers of the channel; a
+    TDM design stored with one column repeats across the frame."""
+    S = channel.num_slots
+    if design.tx.shape[1] == S:
+        return design.tx, design.rx
     if design.scheme == "tdm" and design.tx.shape[1] == 1:
-        return design.tx[:, 0], design.rx[0]
+        return np.repeat(design.tx, S, axis=1), np.repeat(design.rx, S)
     raise ValidationError(
-        f"design has {design.tx.shape[1]} columns but channel has "
-        f"{channel.num_slots}"
+        f"design has {design.tx.shape[1]} columns but channel has {S}"
     )
 
 
@@ -212,12 +212,11 @@ def transmit_aggregate(estimates, channel: ChannelRealization,
             f"feature dim {M} exceeds {channel.num_slots} slots/subcarriers"
         )
     design.check_feasible()
+    tx, rx = _design_columns(design, channel)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(M) * np.sqrt(channel.noise_var)
-    y_hat = np.empty(M)
-    for n in range(M):
-        b, a = _design_column(design, channel, n)
-        y_hat[n] = a * (np.sum(channel.gains[:, n] * b * X[:, n]) + w[n])
+    hb = channel.gains[:, :M] * tx[:, :M]
+    y_hat = rx[:M] * (np.sum(hb * X, axis=0) + w)
     return AggregatedFeature(y_hat=y_hat, y_ideal=X.mean(axis=0))
 
 
@@ -225,12 +224,8 @@ def effective_gains(channel: ChannelRealization, design: TransceiverDesign) -> n
     """Per-slot aggregate gain g_n = a_n * sum_k h_kn b_kn.  Dividing the
     aggregated signal by g_n yields an unbiased convex combination of the
     device estimates (g_n equals K under exact unit-target alignment)."""
-    N = channel.num_slots
-    out = np.empty(N)
-    for n in range(N):
-        b, a = _design_column(design, channel, n)
-        out[n] = a * np.sum(channel.gains[:, n] * b)
-    return out
+    tx, rx = _design_columns(design, channel)
+    return rx * np.sum(channel.gains * tx, axis=0)
 
 
 def analytic_mse(channel: ChannelRealization, design: TransceiverDesign,
@@ -240,13 +235,10 @@ def analytic_mse(channel: ChannelRealization, design: TransceiverDesign,
     K, N = channel.num_devices, channel.num_slots
     sh = as_matrix(sigma_hat, "sigma_hat", shape=(K, N))
     design.check_feasible()
-    out = np.empty(N)
-    for n in range(N):
-        b, a = _design_column(design, channel, n)
-        misalign = a * channel.gains[:, n] * b - 1.0
-        out[n] = float(np.sum(misalign * misalign * sh[:, n])
-                       + a * a * channel.noise_var)
-    return out
+    tx, rx = _design_columns(design, channel)
+    # each slot as a one-subcarrier instance of its own
+    return mse_at_rx(channel.gains.T[:, :, None], tx.T[:, :, None], rx[:, None],
+                     sh.T[:, :, None], channel.noise_var)
 
 
 def received_md(channel: ChannelRealization, design: TransceiverDesign,
@@ -259,14 +251,60 @@ def received_md(channel: ChannelRealization, design: TransceiverDesign,
     if isinstance(delta, DiscriminativePrior):
         delta = delta.delta
     delta = as_vector(delta, "delta", length=N)
-    out = np.empty(N)
-    for n in range(N):
-        b, _ = _design_column(design, channel, n)
-        hb = channel.gains[:, n] * b
-        num = np.sum(hb) ** 2 * delta[n]
-        den = np.sum(hb * hb * sh[:, n]) + channel.noise_var
-        out[n] = float(num / den) if den > 0 else 0.0
-    return out
+    tx, _ = _design_columns(design, channel)
+    return md_received(channel.gains, tx, sh, channel.noise_var, delta)
+
+
+# ---------------------------------------------------------------------------
+# aggregation kernels
+#
+# Each formula is written once here.  Array arguments carry trailing
+# (K, N) axes (devices, subcarriers) after any leading batch axes, and rx
+# and delta trailing (N,).  noise broadcasts against the result: (..., N)
+# per subcarrier, or the batch shape (...) for the total of mse_at_rx.
+# ---------------------------------------------------------------------------
+
+def _ratio(num, den):
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
+def _signal_noise(hb, est_vars, noise):
+    """sum_k (h b)^2 shat^2 + noise.  Callers evaluate it before any other
+    per-subcarrier sum, so that no (..., N) array is alive while its
+    (..., K, N) temporaries set the peak memory of a large batch."""
+    return np.sum(hb * hb * est_vars, axis=-2) + noise
+
+
+def receive_rule(gains, tx, est_vars, noise):
+    """MSE-minimizing receive coefficient for fixed transmit magnitudes:
+    a_n = sum_k h b shat^2 / (sum_k (h b)^2 shat^2 + noise)."""
+    hb = gains * tx
+    den = _signal_noise(hb, est_vars, noise)
+    return _ratio(np.sum(hb * est_vars, axis=-2), den)
+
+
+def mse_at_rx(gains, tx, rx, est_vars, noise):
+    """Aggregation MSE summed over devices and subcarriers at the receive
+    coefficients rx: sum_kn (a_n h b - 1)^2 shat^2 + sum_n a_n^2 noise."""
+    misalign = rx[..., None, :] * gains * tx - 1.0
+    return np.sum(misalign * misalign * est_vars, axis=(-2, -1)) \
+        + np.sum(rx * rx, axis=-1) * noise
+
+
+def mse_min_rx(gains, tx, est_vars, noise):
+    """Aggregation MSE per subcarrier under the receive rule:
+    sum_k shat^2 - (sum_k h b shat^2)^2 / (sum_k (h b)^2 shat^2 + noise)."""
+    hb = gains * tx
+    den = _signal_noise(hb, est_vars, noise)
+    return np.sum(est_vars, axis=-2) - _ratio(np.sum(hb * est_vars, axis=-2) ** 2, den)
+
+
+def md_received(gains, tx, est_vars, noise, delta):
+    """Received minimum inter-class Mahalanobis distance per subcarrier:
+    delta_n (sum_k h b)^2 / (sum_k (h b)^2 shat^2 + noise)."""
+    hb = gains * tx
+    den = _signal_noise(hb, est_vars, noise)
+    return _ratio(delta * np.sum(hb, axis=-2) ** 2, den)
 
 
 def markov_bound(bound: ProxyBound, total_mse) -> float:

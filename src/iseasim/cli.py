@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import entropy, pipeline, solvers
-from .prior import discriminative_prior
+from .channel import md_received, mse_at_rx
 from .validation import NonConvergenceError, ValidationError
 
 _DOM_COMPARE = 5
@@ -106,47 +106,27 @@ def _cmd_entropy_report(args) -> int:
     return 0
 
 
-def _compare_setup(data, seed_override):
-    config = _experiment_config(data, seed_override)
-    prior = pipeline.load_prior(config)
-    sensing_vars = (np.asarray(config.sensing_vars, dtype=np.float64)
-                    if config.sensing_vars is not None else
-                    pipeline.target_sensing_vars(
-                        prior, config.num_devices, config.sensing_snr_db,
-                        np.random.SeedSequence(
-                            config.seed, spawn_key=(pipeline._DOM_SENSING, 0)),
-                        spread=config.sensing_spread))
-    cal = pipeline.calibrate(
-        prior, sensing_vars, config.estimator, config.calibration_samples,
-        np.random.SeedSequence(
-            config.seed, spawn_key=(pipeline._DOM_CALIBRATION, 0)),
-        responsibility_noise_var=config.responsibility_noise_var,
-    )
-    delta = discriminative_prior(prior).delta
-    return config, prior, cal, delta
-
-
 def _cmd_tdm_compare(args) -> int:
     """Per-slot MSE and MD of the two TDM solvers, averaged over seeded
     channel draws per communication SNR.  Estimate variances are pooled
     across devices and dimensions (the MD closed form requires device
     homogeneity)."""
-    data = _load_config(args.config)
-    config, prior, cal, delta = _compare_setup(data, args.seed)
+    config = _experiment_config(_load_config(args.config), args.seed)
     K = config.num_devices
-    sv_pooled = float(cal.sigma_hat.mean())
-    nu_slot = cal.nu2.mean(axis=1)
-    delta_slot = float(delta.mean())
     rows = []
     for v_idx, snr_db in enumerate(config.comm_snr_db):
-        budget = config.noise_var * 10.0 ** (snr_db / 10.0)
+        # value index 0: every SNR point shares one calibration
+        ctx = pipeline.build_context(config, "comm_snr", snr_db, 0)
+        sv_pooled = float(ctx.sigma_hat.mean())
+        nu_slot = ctx.nu2.mean(axis=1)
+        delta_slot = float(ctx.delta.mean())
         sums = np.zeros(4)
         for i in range(config.trials):
             rng = np.random.default_rng(np.random.SeedSequence(
                 config.seed, spawn_key=(_DOM_COMPARE, v_idx, i)))
             gains = rng.rayleigh(scale=np.sqrt(0.5), size=K)
             inst = solvers.TdmInstance(
-                gains=gains, budgets=np.full(K, budget), moments=nu_slot,
+                gains=gains, budgets=ctx.budgets, moments=nu_slot,
                 est_vars=np.full(K, sv_pooled), noise_var=config.noise_var,
                 delta=delta_slot)
             rep_mse = solvers.tdm_mse_optimal(inst)
@@ -165,52 +145,29 @@ def _cmd_tdm_compare(args) -> int:
 def _cmd_fdm_compare(args) -> int:
     """MSE and MD of the two FDM designs plus the baselines, averaged over
     seeded channel draws per communication SNR."""
-    data = _load_config(args.config)
-    config, prior, cal, delta = _compare_setup(data, args.seed)
+    config = _experiment_config(_load_config(args.config), args.seed)
     K, M = config.num_devices, config.feature_dim
     T = config.trials
-    opts = solvers.DualOptions(max_iters=0)
     header = ["comm_snr_db"]
     for tag in ("comp", "dec", "equal", "inv"):
         header += [f"mse_{tag}", f"md_{tag}"]
     rows = []
     for v_idx, snr_db in enumerate(config.comm_snr_db):
-        budget = config.noise_var * 10.0 ** (snr_db / 10.0)
+        # value index 0: every SNR point shares one calibration
+        ctx = pipeline.build_context(config, "comm_snr", snr_db, 0)
         gains = np.empty((T, K, M))
         for i in range(T):
             rng = np.random.default_rng(np.random.SeedSequence(
                 config.seed, spawn_key=(_DOM_COMPARE, v_idx, i)))
             gains[i] = rng.rayleigh(scale=np.sqrt(0.5), size=(K, M))
-        budgets = np.full((T, K), budget)
-        moments = np.broadcast_to(cal.nu2, (T, K, M)).copy()
-        est_vars = np.broadcast_to(cal.sigma_hat, (T, K, M)).copy()
-        noise = np.full(T, config.noise_var)
-        deltas = np.broadcast_to(delta, (T, M)).copy()
-        core = solvers._DualCore(gains, budgets, moments, est_vars, noise, deltas)
-
-        def metrics(tx, rx):
-            hb = gains * tx
-            mis = rx[:, None, :] * hb - 1.0
-            mse = np.sum(mis * mis * est_vars, axis=(1, 2)) \
-                + np.sum(rx * rx, axis=1) * config.noise_var
-            num = deltas * np.sum(hb, axis=1) ** 2
-            den = np.sum(hb * hb * est_vars, axis=1) + config.noise_var
-            md = np.sum(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
-                        axis=1)
-            return float(mse.mean()), float(md.mean())
-
         row = [_fmt(snr_db)]
-        _, aux, b, _, _ = core.run("mse", opts, use_stop_rule=False)
-        row += [_fmt(v) for v in metrics(b, aux)]
-        _, _, b, _, _ = core.run("md", opts, use_stop_rule=False)
-        row += [_fmt(v) for v in metrics(
-            b, pipeline._rx_mse_batch(gains, est_vars, noise[:, None], b))]
-        tx = np.sqrt(budgets[:, :, None] / (M * moments))
-        row += [_fmt(v) for v in metrics(
-            tx, pipeline._rx_mse_batch(gains, est_vars, noise[:, None], tx))]
-        tx = np.minimum(np.sqrt(budgets[:, :, None] / (M * moments)), 1.0 / gains)
-        row += [_fmt(v) for v in metrics(
-            tx, pipeline._rx_mse_batch(gains, est_vars, noise[:, None], tx))]
+        for name in ("fdm_mse", "fdm_md", "equal", "channel_inversion"):
+            tx, rx, _ = solvers.solve_batch(name, gains, ctx.budgets, ctx.nu2,
+                                            ctx.sigma_hat, ctx.noise_var, ctx.delta)
+            mse = mse_at_rx(gains, tx, rx, ctx.sigma_hat, ctx.noise_var)
+            md = np.sum(md_received(gains, tx, ctx.sigma_hat, ctx.noise_var, ctx.delta),
+                        axis=1)
+            row += [_fmt(mse.mean()), _fmt(md.mean())]
         rows.append(row)
     _write_csv(args.output, header, rows)
     return 0

@@ -9,13 +9,14 @@ and reduce them into MetricsRecord rows for CSV export.
 Determinism: every random quantity flows from the root seed through
 numpy SeedSequence spawn keys of the form (domain, value_index,
 trial_index), so a trial's draws do not depend on how trials are batched
-or distributed across worker processes.  Metric reductions are Kahan
-sums taken in trial order, and confusion counts are exact integers.
+or distributed across worker processes.  Metric reductions are exactly
+rounded sums (math.fsum), and confusion counts are exact integers.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import solvers
+from .channel import md_received, mse_at_rx
 from .estimators import estimate_batch, observe_batch
 from .prior import (
     GaussianMixturePrior,
@@ -46,6 +48,12 @@ _EST_VAR_FLOOR = 1e-12
 
 SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K", "N")
 DECODE_MODES = ("gated", "gain", "mean")
+
+# Default per-trial convergence gate (solver_opts["kkt_tol"]): the refined
+# designs reach their objective to ~1e-8 well before the stationarity
+# residual of flat power valleys dies out, so the gate is looser than the
+# 1e-6 solver-API default.
+KKT_GATE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,15 @@ class ExperimentConfig:
             raise ValidationError("noise_var must be > 0")
         if not 0.0 <= self.exclusion_limit <= 1.0:
             raise ValidationError("exclusion_limit must lie in [0, 1]")
+        unknown = sorted(set(self.solver_opts) - {"kkt_tol"})
+        if unknown:
+            raise ValidationError(
+                f"unknown solver_opts keys: {unknown}; only 'kkt_tol' is accepted"
+            )
+        try:
+            float(self.solver_opts.get("kkt_tol", KKT_GATE))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("solver_opts kkt_tol must be a number") from exc
         if self.sensing_vars is not None:
             sv = tuple(float(v) for v in self.sensing_vars)
             if len(sv) != self.num_devices or any(v < 0 for v in sv):
@@ -224,7 +241,7 @@ def calibrate(prior: GaussianMixturePrior, sensing_vars, estimator: str,
 
 
 @dataclass(frozen=True)
-class _TrialContext:
+class TrialContext:
     """Everything a worker needs to run trials of one sweep point."""
 
     prior: GaussianMixturePrior
@@ -243,11 +260,14 @@ class _TrialContext:
     seed: int
     value_index: int
     responsibility_noise_var: float
-    solver_opts: dict
+    kkt_tol: float
 
 
-def _build_context(config: ExperimentConfig, variable: str, value,
-                   value_index: int) -> _TrialContext:
+def build_context(config: ExperimentConfig, variable: str, value,
+                  value_index: int) -> TrialContext:
+    """Prior, sensing variances, power budgets and calibration of sweep
+    point `value_index`, where `variable` takes `value`.  Sweeps other than
+    comm_snr run at the config's one comm_snr_db value."""
     cfg = config
     if variable == "comm_snr":
         pass
@@ -276,8 +296,13 @@ def _build_context(config: ExperimentConfig, variable: str, value,
 
     if variable == "comm_snr":
         snr_db = float(value)
+    elif len(cfg.comm_snr_db) == 1:
+        snr_db = cfg.comm_snr_db[0]
     else:
-        snr_db = float(cfg.comm_snr_db[0]) if len(cfg.comm_snr_db) == 1 else 10.0
+        raise ValidationError(
+            f"a {variable} sweep needs exactly one comm_snr_db value, "
+            f"got {len(cfg.comm_snr_db)}"
+        )
     budgets = np.full(cfg.num_devices,
                       cfg.noise_var * 10.0 ** (snr_db / 10.0))
 
@@ -288,7 +313,7 @@ def _build_context(config: ExperimentConfig, variable: str, value,
     )
     delta = discriminative_prior(prior).delta if prior.num_classes > 1 \
         else np.zeros(prior.feature_dim)
-    return _TrialContext(
+    return TrialContext(
         prior=prior, sensing_vars=sensing_vars, budgets=budgets,
         noise_var=cfg.noise_var, scheme=cfg.scheme, estimator=cfg.estimator,
         solver=cfg.solver, num_subcarriers=cfg.num_subcarriers,
@@ -296,7 +321,7 @@ def _build_context(config: ExperimentConfig, variable: str, value,
         decode=cfg.decode, erasure_factor=cfg.erasure_factor,
         seed=cfg.seed, value_index=value_index,
         responsibility_noise_var=cfg.responsibility_noise_var,
-        solver_opts=dict(cfg.solver_opts),
+        kkt_tol=float(cfg.solver_opts.get("kkt_tol", KKT_GATE)),
     )
 
 
@@ -316,7 +341,7 @@ def load_prior(config: ExperimentConfig) -> GaussianMixturePrior:
 # batched trial execution
 # ---------------------------------------------------------------------------
 
-def _draw_trials(ctx: _TrialContext, trial_indices):
+def _draw_trials(ctx: TrialContext, trial_indices):
     """Per-trial seeded draws: labels, features, sensing noise, channel
     gains and receiver noise.  Each trial owns four child streams so the
     draws never depend on batch composition."""
@@ -348,7 +373,7 @@ def _draw_trials(ctx: _TrialContext, trial_indices):
     return labels, X, X_tilde, gains, w
 
 
-def _estimate_all(ctx: _TrialContext, labels, X_tilde):
+def _estimate_all(ctx: TrialContext, labels, X_tilde):
     """Run the configured estimator per device; returns (T, K, M)."""
     T, K, M = X_tilde.shape
     X_hat = np.empty((T, K, M))
@@ -361,63 +386,22 @@ def _estimate_all(ctx: _TrialContext, labels, X_tilde):
     return X_hat
 
 
-def _rx_mse_batch(g, sv, noise, tx):
-    hb = g * tx
-    num = np.sum(hb * sv, axis=1)
-    den = np.sum(hb * hb * sv, axis=1) + noise
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def _solve_designs(ctx: _TrialContext, gains_used):
+def _solve_designs(ctx: TrialContext, gains_used):
     """Batched transceiver designs for every trial.
 
-    Returns (tx (T,K,M), rx (T,M), kkt (T,)).  The dual solvers run in
-    polish-only mode here (zero subgradient iterations) so that per-trial
-    results are bit-identical no matter how trials are chunked across
-    workers; tolerances remain overridable through solver_opts.
+    Returns (tx (T,K,M), rx (T,M), kkt (T,)).  Per-trial results are
+    bit-identical no matter how trials are chunked across workers.
     """
-    T, K, M = gains_used.shape
-    budgets = np.broadcast_to(ctx.budgets, (T, K)).copy()
-    moments = np.broadcast_to(ctx.nu2, (T, K, M)).copy()
-    est_vars = np.broadcast_to(ctx.sigma_hat, (T, K, M)).copy()
-    noise = np.full(T, ctx.noise_var)
-    delta = np.broadcast_to(ctx.delta, (T, M)).copy()
-    kkt = np.zeros(T)
-
-    if ctx.solver in ("fdm_mse", "fdm_md"):
-        opts = solvers.DualOptions(
-            max_iters=int(ctx.solver_opts.get("max_iters", 0)),
-            eps_lambda=float(ctx.solver_opts.get("eps_lambda", 1e-6)),
-            eps_power=float(ctx.solver_opts.get("eps_power", 1e-4)),
-            step_scale=float(ctx.solver_opts.get("step_scale", 0.1)),
-            polish_sweeps=int(ctx.solver_opts.get("polish_sweeps", 120)),
-        )
-        core = solvers._DualCore(gains_used, budgets, moments, est_vars,
-                                 noise, delta)
-        kind = "mse" if ctx.solver == "fdm_mse" else "md"
-        _, aux, b, kkt_arr, _ = core.run(kind, opts, use_stop_rule=False)
-        tx = b
-        if kind == "mse":
-            rx = aux
-        else:
-            rx = _rx_mse_batch(gains_used, est_vars, noise[:, None], tx)
-        return tx, rx, kkt_arr
-
-    if ctx.solver == "equal":
-        tx = np.sqrt(budgets[:, :, None] / (M * moments))
-        rx = _rx_mse_batch(gains_used, est_vars, noise[:, None], tx)
-        return tx, rx, kkt
-
-    if ctx.solver == "channel_inversion":
-        cap = np.sqrt(budgets[:, :, None] / (M * moments))
-        tx = np.minimum(cap, 1.0 / gains_used)
-        rx = _rx_mse_batch(gains_used, est_vars, noise[:, None], tx)
-        return tx, rx, kkt
+    if ctx.solver in solvers.BATCH_SOLVERS:
+        return solvers.solve_batch(ctx.solver, gains_used, ctx.budgets, ctx.nu2,
+                                   ctx.sigma_hat, ctx.noise_var, ctx.delta)
 
     # TDM closed forms run per trial on slot-invariant statistics
     # (per-device averages over feature dimensions).
+    T, K, M = gains_used.shape
     tx = np.empty((T, K, M))
     rx = np.empty((T, M))
+    kkt = np.empty(T)
     sv_slot = ctx.sigma_hat.mean(axis=1)
     nu_slot = ctx.nu2.mean(axis=1)
     delta_slot = float(ctx.delta.mean())
@@ -436,7 +420,7 @@ def _solve_designs(ctx: _TrialContext, gains_used):
     return tx, rx, kkt
 
 
-def _decode(ctx: _TrialContext, y_hat, rx, hb):
+def _decode(ctx: TrialContext, y_hat, rx, hb):
     """Map the aggregated receive vector to classifier inputs; returns
     (decoded, observed_mask).
 
@@ -465,7 +449,7 @@ def _decode(ctx: _TrialContext, y_hat, rx, hb):
     return np.where(observed, decoded, 0.0), observed
 
 
-def run_trials_batch(ctx: _TrialContext, trial_indices) -> dict:
+def run_trials_batch(ctx: TrialContext, trial_indices) -> dict:
     """Execute the full chain for the given trial indices; returns
     per-trial arrays (labels, predictions, analytic MSE and MD of the
     solved designs, convergence flags, plus the paired noise-free-channel
@@ -477,7 +461,6 @@ def run_trials_batch(ctx: _TrialContext, trial_indices) -> dict:
     gains_used = gains[:, :, :M]
     tx, rx, kkt = _solve_designs(ctx, gains_used)
 
-    est_vars = ctx.sigma_hat[None, :, :]
     hb = gains_used * tx                                         # (T, K, M)
     y_raw = np.sum(hb * X_hat, axis=1) + w                       # (T, M)
     y_hat = rx * y_raw
@@ -487,19 +470,10 @@ def run_trials_batch(ctx: _TrialContext, trial_indices) -> dict:
     ideal_preds = map_classify_batch(prior, X_hat.mean(axis=1))
     clean_preds = map_classify_batch(prior, X)
 
-    misalign = rx[:, None, :] * hb - 1.0
-    mse = np.sum(misalign * misalign * est_vars, axis=(1, 2)) \
-        + np.sum(rx * rx, axis=1) * ctx.noise_var
-    num = ctx.delta[None, :] * np.sum(hb, axis=1) ** 2
-    den = np.sum(hb * hb * est_vars, axis=1) + ctx.noise_var
-    md = np.sum(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0), axis=1)
-
-    # Trial-level convergence certificate: the refined designs reach their
-    # objective to ~1e-8 well before the stationarity residual of flat
-    # power valleys dies out, so the per-trial gate is looser than the
-    # 1e-6 solver-API default.
-    tol = float(ctx.solver_opts.get("kkt_tol", 1e-4))
-    converged = kkt <= tol
+    mse = mse_at_rx(gains_used, tx, rx, ctx.sigma_hat, ctx.noise_var)
+    md = np.sum(md_received(gains_used, tx, ctx.sigma_hat, ctx.noise_var, ctx.delta),
+                axis=1)
+    converged = kkt <= ctx.kkt_tol
     return {
         "labels": labels, "preds": preds, "mse": mse, "md": md,
         "converged": converged, "ideal_preds": ideal_preds,
@@ -513,7 +487,7 @@ def run_trial(config: ExperimentConfig, trial_seed: int,
     analytic total MSE, total received MD).  trial_seed is the trial
     index inside the root seed's stream."""
     value = config.comm_snr_db[0] if comm_snr_db is None else comm_snr_db
-    ctx = _build_context(config, "comm_snr", value, 0)
+    ctx = build_context(config, "comm_snr", value, 0)
     out = run_trials_batch(ctx, [int(trial_seed)])
     if not out["converged"][0]:
         raise NonConvergenceError(
@@ -544,7 +518,7 @@ def _resolve_workers(config: ExperimentConfig) -> int:
     return 1
 
 
-def _run_value(ctx: _TrialContext, trials: int, workers: int) -> dict:
+def _run_value(ctx: TrialContext, trials: int, workers: int) -> dict:
     if workers <= 1:
         return run_trials_batch(ctx, range(trials))
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
@@ -553,18 +527,6 @@ def _run_value(ctx: _TrialContext, trials: int, workers: int) -> dict:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_worker_chunk, chunks))
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-
-
-def kahan_sum(values) -> float:
-    """Compensated sequential sum; order-stable reduction for means."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
 
 
 def _reduce(value, out: dict, num_classes: int,
@@ -585,12 +547,12 @@ def _reduce(value, out: dict, num_classes: int,
     acc = float(np.trace(confusion)) / n
     correct = (labels == preds).astype(np.float64)
     if n > 1:
-        var = kahan_sum((correct - acc) ** 2) / (n - 1)
+        var = math.fsum((correct - acc) ** 2) / (n - 1)
         acc_std = float(np.sqrt(max(var, 0.0)))
     else:
         acc_std = 0.0
-    mse_mean = kahan_sum(out["mse"][converged]) / n
-    md_mean = kahan_sum(out["md"][converged]) / n
+    mse_mean = math.fsum(out["mse"][converged]) / n
+    md_mean = math.fsum(out["md"][converged]) / n
     ideal_acc = float(np.mean(out["ideal_preds"][converged] == labels))
     clean_acc = float(np.mean(out["clean_preds"][converged] == labels))
     return MetricsRecord(
@@ -613,7 +575,7 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
     workers = _resolve_workers(config)
     records = []
     for v_idx, value in enumerate(values):
-        ctx = _build_context(config, variable, value, v_idx)
+        ctx = build_context(config, variable, value, v_idx)
         out = _run_value(ctx, config.trials, workers)
         records.append(_reduce(value, out, config.num_classes,
                                config.exclusion_limit))

@@ -12,10 +12,17 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
   segment stationary points tau_j = (sum u^2 + noise_eq) / (sum u) are
   compared exhaustively.  Requires homogeneous per-device estimate
   variances (the closed form does not extend; use brute_force_oracle).
-* fdm_mse_dual    : dual decomposition; per-subcarrier scalar root for the
-  receive power r_n by bisection, per-device multipliers by projected
-  subgradient plus a monotone fixed-point polish.
-* fdm_md_optimal  : same two-layer scheme on the auxiliary ratio z_n.
+* fdm_mse_dual    : dual decomposition solved as a monotone fixed point:
+  from the equal-power split, alternate the MSE-optimal receive rule with
+  the exact per-device power-constrained transmit update, whose
+  multiplier is found by bisection.
+* fdm_md_optimal  : the same scheme on the quadratic-transform auxiliary
+  z_n of the received MD.
+
+`solve_batch` runs the FDM designs and the two baselines (equal power,
+capped channel inversion) on a stack of instances; the single-instance
+functions are its B=1 case.  The receive rule, MSE and MD formulas are
+the kernels of `channel`.
 
 All quantities are real magnitudes.  `moments` fields hold the second
 moments nu^2 of the transmitted estimates, `est_vars` the per-device
@@ -30,7 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import TransceiverDesign
+from .channel import (
+    TransceiverDesign,
+    md_received,
+    mse_at_rx,
+    mse_min_rx,
+    receive_rule,
+)
 from .validation import ValidationError, as_matrix, as_vector, check_finite
 
 # Fixed bisection brackets.  Using constant brackets and a constant
@@ -42,6 +55,12 @@ BISECT_ITERS = 64
 LOG_LO = -30.0
 LOG_HI = 30.0
 TINY = 1e-300
+
+# Fixed-point sweeps of the FDM polish (a fixed count keeps results
+# batch-invariant) and the KKT residual below which a single-instance
+# FDM solve reports convergence.
+POLISH_SWEEPS = 120
+KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,9 +159,9 @@ class FdmInstance:
 @dataclass
 class SolveReport:
     """Solver outcome: the design, its objective value, iteration count,
-    and the KKT residual (max of relative power overuse, complementary
-    slackness, stationarity of the recovered coefficients and of the
-    scalar root equations)."""
+    and the KKT residual (for the FDM designs the max of relative power
+    overuse, complementary slackness and the fixed-point residual of the
+    auxiliary)."""
 
     design: TransceiverDesign
     objective: float
@@ -186,15 +205,20 @@ def _arrays(inst):
     raise ValidationError(f"unsupported instance type {type(inst).__name__}")
 
 
+def _stack(inst):
+    """The instance as a batch of one: (gains, budgets, moments, est_vars,
+    noise, delta) with a leading axis of length 1."""
+    g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
+    return (g[None], budgets[None], moments[None], sv[None],
+            np.array([noise]), delta[None])
+
+
 def rx_mse_optimal(inst, tx) -> np.ndarray:
     """Per-subcarrier receive coefficient minimizing the aggregation MSE
     for fixed transmit magnitudes:
     a_n = sum |h b| shat^2 / (sum |h b|^2 shat^2 + noise)."""
     g, _, _, sv, noise, _, _ = _arrays(inst)
-    hb = g * np.asarray(tx, dtype=np.float64)
-    num = np.sum(hb * sv, axis=0)
-    den = np.sum(hb * hb * sv, axis=0) + noise
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    return receive_rule(g, np.asarray(tx, dtype=np.float64), sv, noise)
 
 
 def mse_min_over_rx(inst, tx) -> float:
@@ -202,19 +226,13 @@ def mse_min_over_rx(inst, tx) -> float:
     coefficients: sum_n [sum shat^2 - (sum hb shat^2)^2 /
     (sum (hb)^2 shat^2 + noise)]."""
     g, _, _, sv, noise, _, _ = _arrays(inst)
-    hb = g * np.asarray(tx, dtype=np.float64)
-    num = np.sum(hb * sv, axis=0) ** 2
-    den = np.sum(hb * hb * sv, axis=0) + noise
-    per_n = np.sum(sv, axis=0) - np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    return float(np.sum(per_n))
+    return float(np.sum(mse_min_rx(g, np.asarray(tx, dtype=np.float64), sv, noise)))
 
 
 def design_mse(inst, design: TransceiverDesign) -> float:
     """Aggregation MSE of a design at its own receive coefficients."""
     g, _, _, sv, noise, _, _ = _arrays(inst)
-    misalign = design.rx[None, :] * g * design.tx - 1.0
-    return float(np.sum(misalign * misalign * sv)
-                 + np.sum(design.rx ** 2) * noise)
+    return float(mse_at_rx(g, design.tx, design.rx, sv, noise))
 
 
 def design_md(inst, tx_or_design) -> float:
@@ -223,10 +241,7 @@ def design_md(inst, tx_or_design) -> float:
     the receive coefficients."""
     g, _, _, sv, noise, delta, _ = _arrays(inst)
     tx = tx_or_design.tx if isinstance(tx_or_design, TransceiverDesign) else tx_or_design
-    hb = g * np.asarray(tx, dtype=np.float64)
-    num = delta * np.sum(hb, axis=0) ** 2
-    den = np.sum(hb * hb * sv, axis=0) + noise
-    return float(np.sum(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)))
+    return float(np.sum(md_received(g, np.asarray(tx, dtype=np.float64), sv, noise, delta)))
 
 
 def _make_design(inst, tx, rx) -> TransceiverDesign:
@@ -265,7 +280,8 @@ def tdm_mse_optimal(inst: TdmInstance) -> SolveReport:
             continue
         a = num / den
         b = np.minimum(b_full, 1.0 / (a * h))
-        mse = float(np.sum((a * h * b - 1.0) ** 2 * sv) + a * a * inst.noise_var)
+        mse = float(mse_at_rx(h[:, None], b[:, None], np.array([a]), sv[:, None],
+                              inst.noise_var))
         if best is None or mse < best[0]:
             best = (mse, a, b, j)
     mse, a, b, k_star = best
@@ -346,24 +362,6 @@ def tdm_md_optimal(inst: TdmInstance) -> SolveReport:
 # FDM dual decomposition (batched internals)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualOptions:
-    """Tolerances and budgets for the dual solvers.
-
-    eps_lambda / eps_power give the stopping rule of the subgradient
-    phase (max dual change, max relative power violation); the polish
-    phase then runs a fixed number of alternating exact root solves so
-    results do not depend on how instances are batched.
-    """
-
-    eps_lambda: float = 1e-6
-    eps_power: float = 1e-4
-    max_iters: int = 150
-    step_scale: float = 0.1
-    polish_sweeps: int = 120
-    kkt_tol: float = 1e-6
-
-
 def _bisect_fixed(f, shape):
     """Vectorized log-domain bisection with a fixed iteration count.
 
@@ -381,87 +379,26 @@ def _bisect_fixed(f, shape):
     return 10.0 ** (0.5 * (lo + hi))
 
 
+def equal_power(budgets, moments):
+    """Uniform power split |b_kn| = sqrt(P_k / (N nu_kn^2)); budgets (..., K),
+    moments (..., K, N)."""
+    return np.sqrt(budgets[..., None] / (moments.shape[-1] * moments))
+
+
 class _DualCore:
     """Batched dual-decomposition engine shared by the MSE and MD
     objectives.  Arrays: gains/moments/est_vars (B, K, N), budgets (B, K),
-    noise (B,), delta (B, N)."""
+    noise (B,), delta (B, N).  Every operation is elementwise across the
+    batch, so each instance's result depends only on its own data."""
 
-    def __init__(self, gains, budgets, moments, est_vars, noise, delta=None):
+    def __init__(self, gains, budgets, moments, est_vars, noise, delta):
         self.g = gains
         self.budgets = budgets
         self.mom = moments
         self.sv = est_vars
-        self.noise = noise
+        self.noise = noise[:, None]
         self.delta = delta
         self.B, self.K, self.N = gains.shape
-
-    # -- per-subcarrier scalar roots ------------------------------------
-
-    def solve_aux_mse(self, lam):
-        """Root r_n of  sum_k lam nu^2 h^2 shat^4 / (r h^2 shat^2 +
-        lam nu^2)^2 = noise;  r_n = 0 when the left side at zero already
-        falls below the noise power.  A zero multiplier makes the left
-        side diverge as r -> 0+, so any lam_k = 0 guarantees a root."""
-        lam3 = lam[:, :, None]
-        c1 = lam3 * self.mom * self.g ** 2 * self.sv ** 2
-        d1 = self.g ** 2 * self.sv
-        d2 = lam3 * self.mom
-        noise = self.noise[:, None]
-
-        def f(r):
-            den = r[:, None, :] * d1 + d2
-            terms = np.where(den > 0, c1 / np.where(den > 0, den, 1.0) ** 2, 0.0)
-            return np.sum(terms, axis=1) - noise
-
-        f0 = np.sum(np.where(d2 > 0, c1 / np.where(d2 > 0, d2, 1.0) ** 2, 0.0),
-                    axis=1) - noise
-        has_root = (f0 > 0) | np.any(lam == 0, axis=1)[:, None]
-        root = _bisect_fixed(f, (self.B, self.N))
-        return np.where(has_root, root, 0.0)
-
-    def recover_b_mse(self, lam, r):
-        a = np.sqrt(r)[:, None, :]
-        num = a * self.g * self.sv
-        den = a * a * self.g ** 2 * self.sv + lam[:, :, None] * self.mom
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-    def solve_aux_md(self, lam):
-        """Root (in z^2) of  sum_k lam h^2 nu^2 / (lam nu^2 + delta h^2
-        shat^2 z^2)^2 = noise / delta  per subcarrier with delta > 0."""
-        lam3 = lam[:, :, None]
-        c1 = lam3 * self.g ** 2 * self.mom
-        d2 = lam3 * self.mom
-        d1 = self.delta[:, None, :] * self.g ** 2 * self.sv
-        delta_pos = self.delta > 0
-        rhs = np.where(delta_pos,
-                       self.noise[:, None] / np.where(delta_pos, self.delta, 1.0),
-                       np.inf)
-
-        def f(y):
-            den = d2 + d1 * y[:, None, :]
-            terms = np.where(den > 0, c1 / np.where(den > 0, den, 1.0) ** 2, 0.0)
-            return np.sum(terms, axis=1) - rhs
-
-        f0 = np.sum(np.where(d2 > 0, c1 / np.where(d2 > 0, d2, 1.0) ** 2, 0.0),
-                    axis=1) - rhs
-        has_root = (f0 > 0) | np.any(lam == 0, axis=1)[:, None]
-        root = _bisect_fixed(f, (self.B, self.N))
-        return np.where(has_root & delta_pos, root, 0.0)
-
-    def recover_b_md(self, lam, y):
-        z = np.sqrt(y)[:, None, :]
-        delta = self.delta[:, None, :]
-        num = delta * self.g * z
-        den = lam[:, :, None] * self.mom + delta * self.sv * self.g ** 2 * y[:, None, :]
-        b = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        # keep a subcarrier only if its penalized value beats shutting it
-        # off (the stationary point is not the inner argmax otherwise)
-        hb = self.g * b
-        gain = self.delta * np.sum(hb, axis=1) ** 2
-        loss = np.sum(hb * hb * self.sv, axis=1) + self.noise[:, None]
-        value = np.where(loss > 0, gain / np.where(loss > 0, loss, 1.0), 0.0) \
-            - np.sum(lam[:, :, None] * self.mom * b * b, axis=1)
-        return np.where((value > 0)[:, None, :], b, 0.0)
 
     # -- per-device multipliers ------------------------------------------
 
@@ -496,16 +433,13 @@ class _DualCore:
 
     def rx_update(self, b):
         """MSE-minimizing receive scale for fixed transmit magnitudes."""
-        hb = self.g * b
-        num = np.sum(hb * self.sv, axis=1)
-        den = np.sum(hb * hb * self.sv, axis=1) + self.noise[:, None]
-        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        return receive_rule(self.g, b, self.sv, self.noise)
 
     def z_update(self, b):
         """Quadratic-transform auxiliary of the MD ratio."""
         hb = self.g * b
         num = np.sum(hb, axis=1)
-        den = np.sum(hb * hb * self.sv, axis=1) + self.noise[:, None]
+        den = np.sum(hb * hb * self.sv, axis=1) + self.noise
         return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
     def _coeffs(self, kind, aux):
@@ -519,16 +453,10 @@ class _DualCore:
             c2 = d3 * self.sv * self.g ** 2 * a3 * a3
         return c1, c2
 
-    def objective(self, kind, b, rx=None):
-        hb = self.g * b
-        den = np.sum(hb * hb * self.sv, axis=1) + self.noise[:, None]
-        safe = np.where(den > 0, den, 1.0)
+    def objective(self, kind, b):
         if kind == "mse":
-            num = np.sum(hb * self.sv, axis=1) ** 2
-            per = np.sum(self.sv, axis=1) - np.where(den > 0, num / safe, 0.0)
-            return np.sum(per, axis=1)
-        num = self.delta * np.sum(hb, axis=1) ** 2
-        return np.sum(np.where(den > 0, num / safe, 0.0), axis=1)
+            return np.sum(mse_min_rx(self.g, b, self.sv, self.noise), axis=1)
+        return np.sum(md_received(self.g, b, self.sv, self.noise, self.delta), axis=1)
 
     def _step(self, kind, aux):
         c1, c2 = self._coeffs(kind, aux)
@@ -536,7 +464,7 @@ class _DualCore:
         b = self._b_shape(c1, c2, lam)
         return lam, b
 
-    def polish(self, kind, b, sweeps):
+    def polish(self, kind, b):
         """Alternate the closed-form auxiliary update (receive scale for
         the MSE objective, quadratic-transform ratio for the MD objective)
         with the exact per-device power-constrained transmit update.  Both
@@ -552,7 +480,7 @@ class _DualCore:
         better = np.less if kind == "mse" else np.greater
         aux = upd(b)
         aux_prev = aux
-        for sweep in range(1, sweeps + 1):
+        for sweep in range(1, POLISH_SWEEPS + 1):
             _, b = self._step(kind, aux)
             aux_next = upd(b)
             if sweep % 12 == 0:
@@ -574,56 +502,13 @@ class _DualCore:
 
     # -- main loop --------------------------------------------------------
 
-    def run(self, kind, opts: DualOptions, use_stop_rule: bool = True):
-        """Projected-subgradient dual phase (per-subcarrier scalar roots,
-        closed-form recovery) followed by a monotone primal refinement
-        from two deterministic starting points; the better endpoint wins
-        elementwise.  use_stop_rule=False disables the early-out so that
-        batched instances cannot influence one another."""
-        solve_aux = self.solve_aux_mse if kind == "mse" else self.solve_aux_md
-        recover = self.recover_b_mse if kind == "mse" else self.recover_b_md
+    def run(self, kind):
+        """Polish from the equal-power split, fold rounding dust back
+        inside the budgets and certify the result.  Returns (lam, aux, b,
+        kkt): kkt is the max of relative power overuse, complementary
+        slackness and the auxiliary's fixed-point residual."""
+        lam, aux, b = self.polish(kind, equal_power(self.budgets, self.mom))
 
-        lam = np.ones((self.B, self.K))
-        iters = 0
-        b_dual = None
-        for t in range(1, opts.max_iters + 1):
-            aux = solve_aux(lam)
-            b_dual = recover(lam, aux)
-            viol = (self.power_used(b_dual) - self.budgets) / self.budgets
-            step = opts.step_scale / math.sqrt(t)
-            new_lam = np.maximum(0.0, lam + step * np.clip(viol, -1.0, 1.0))
-            moved = float(np.max(np.abs(new_lam - lam))) if lam.size else 0.0
-            lam = new_lam
-            iters = t
-            if use_stop_rule and moved <= opts.eps_lambda \
-                    and float(np.max(np.maximum(viol, 0.0))) <= opts.eps_power:
-                break
-
-        b_equal = np.sqrt(self.budgets[:, :, None] / (self.N * self.mom))
-        candidates = [b_equal]
-        if b_dual is not None:
-            # scale the dual endpoint into the feasible set before refining
-            used = self.power_used(b_dual)
-            over = used > self.budgets
-            scale = np.where(over, np.sqrt(self.budgets / np.maximum(used, TINY)), 1.0)
-            candidates.append(b_dual * scale[:, :, None])
-
-        best = None
-        for b0 in candidates:
-            lam_c, aux_c, b_c = self.polish(kind, b0, opts.polish_sweeps)
-            val = self.objective(kind, b_c)
-            if best is None:
-                best = (lam_c, aux_c, b_c, val)
-            else:
-                lam_b, aux_b, b_b, val_b = best
-                take = val < val_b if kind == "mse" else val > val_b
-                best = (np.where(take[:, None], lam_c, lam_b),
-                        np.where(take[:, None], aux_c, aux_b),
-                        np.where(take[:, None, None], b_c, b_b),
-                        np.where(take, val, val_b))
-        lam, aux, b, _ = best
-
-        # fold rounding dust back inside the budgets
         used = self.power_used(b)
         over = used > self.budgets
         scale = np.where(over, np.sqrt(self.budgets / np.maximum(used, TINY)), 1.0)
@@ -637,41 +522,71 @@ class _DualCore:
         aux_scale = np.maximum(np.max(np.abs(aux_new), axis=1), TINY)
         aux_resid = np.max(np.abs(aux - aux_new), axis=1) / aux_scale
         kkt = np.maximum(np.maximum(overuse, compl), aux_resid)
-        return lam, aux, b, kkt, iters
+        return lam, aux, b, kkt
 
 
-def _stack(inst: FdmInstance):
-    return (inst.gains[None], inst.budgets[None], inst.moments[None],
-            inst.est_vars[None], np.array([inst.noise_var]),
-            inst.delta[None])
+def _fdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
+    """(lam, aux, tx, rx, kkt) of the dual solver on a batch; the MD design
+    decodes with the MSE-optimal receive rule."""
+    lam, aux, tx, kkt = _DualCore(gains, budgets, moments, est_vars,
+                                  noise, delta).run(kind)
+    rx = aux if kind == "mse" else receive_rule(gains, tx, est_vars, noise[:, None])
+    return lam, aux, tx, rx, kkt
 
 
-def fdm_mse_dual(inst: FdmInstance, *, eps_lambda=1e-6, eps_power=1e-4,
-                 max_iters=150, step_scale=0.1, polish_sweeps=120) -> SolveReport:
+BATCH_SOLVERS = ("fdm_mse", "fdm_md", "equal", "channel_inversion")
+
+
+def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
+    """Designs for a stack of B FDM instances.
+
+    gains is (B, K, N); budgets broadcast to (B, K), moments and est_vars
+    to (B, K, N), noise to (B,) and delta to (B, N).  Returns (tx (B, K, N),
+    rx (B, N), kkt (B,)); the baselines report a zero KKT residual.  Each
+    instance's result is bit-for-bit the same however instances are
+    batched.
+    """
+    if name not in BATCH_SOLVERS:
+        raise ValidationError(f"unknown batch solver {name!r}; expected one of {BATCH_SOLVERS}")
+    gains = np.asarray(gains, dtype=np.float64)
+    B, K, N = gains.shape
+
+    def full(x, shape):
+        return np.broadcast_to(np.asarray(x, dtype=np.float64), shape).copy()
+
+    budgets = full(budgets, (B, K))
+    moments = full(moments, (B, K, N))
+    est_vars = full(est_vars, (B, K, N))
+    noise = full(noise, (B,))
+    if name in ("fdm_mse", "fdm_md"):
+        kind = "mse" if name == "fdm_mse" else "md"
+        _, _, tx, rx, kkt = _fdm_batch(kind, gains, budgets, moments, est_vars,
+                                       noise, full(delta, (B, N)))
+        return tx, rx, kkt
+    tx = equal_power(budgets, moments)
+    if name == "channel_inversion":
+        tx = np.minimum(tx, 1.0 / gains)
+    return tx, receive_rule(gains, tx, est_vars, noise[:, None]), np.zeros(B)
+
+
+def fdm_mse_dual(inst: FdmInstance) -> SolveReport:
     """MSE-minimizing FDM design by dual decomposition.
 
-    The outer loop updates the per-device multipliers by projected
-    subgradient with diminishing step step_scale/sqrt(t) and stops when
-    the dual variables settle within eps_lambda and relative power
-    violations fall below eps_power; a fixed-length alternating polish
-    then drives the joint KKT system to root-solver accuracy before the
-    transmit coefficients are recovered in closed form.
+    Per-device multipliers meet the power budgets exactly at every sweep
+    of a fixed-length alternating polish (see `_DualCore.polish`), which
+    drives the joint KKT system to root-solver accuracy; the duals and
+    the dual objective are reported alongside the design.
     """
-    opts = DualOptions(eps_lambda=eps_lambda, eps_power=eps_power,
-                       max_iters=max_iters, step_scale=step_scale,
-                       polish_sweeps=polish_sweeps)
-    core = _DualCore(*_stack(inst))
-    lam, a, b, kkt, iters = core.run("mse", opts)
-    tx = b[0]
-    rx = a[0]
+    lam, _, tx, rx, kkt = _fdm_batch("mse", *_stack(inst))
+    tx, rx, lam = tx[0], rx[0], lam[0]
     design = _make_design(inst, tx, rx)
     objective = design_mse(inst, design)
     kkt_val = float(kkt[0])
-    dual_value = _dual_value_mse(inst, lam[0], rx * rx)
+    dual_value = _dual_value_mse(inst, lam, rx * rx)
     return SolveReport(
-        design=design, objective=objective, iterations=iters,
-        kkt_residual=kkt_val, converged=bool(kkt_val <= opts.kkt_tol),
-        extras={"duals": lam[0].tolist(), "rx_power": (rx * rx).tolist(),
+        design=design, objective=objective, iterations=POLISH_SWEEPS,
+        kkt_residual=kkt_val, converged=bool(kkt_val <= KKT_TOL),
+        extras={"duals": lam.tolist(), "rx_power": (rx * rx).tolist(),
                 "dual_value": dual_value,
                 "duality_gap": objective - dual_value},
     )
@@ -687,41 +602,33 @@ def _dual_value_mse(inst: FdmInstance, lam, r) -> float:
     return float(np.sum(phi) - np.sum(lam * inst.budgets))
 
 
-def fdm_md_optimal(inst: FdmInstance, *, eps_lambda=1e-6, eps_power=1e-4,
-                   max_iters=150, step_scale=0.1, polish_sweeps=120) -> SolveReport:
-    """MD-maximizing FDM design via the same two-layer dual scheme.
+def fdm_md_optimal(inst: FdmInstance) -> SolveReport:
+    """MD-maximizing FDM design via the same scheme on the z_n auxiliary.
 
-    The inner layer solves the z_n consistency root per subcarrier (zero
-    power lands on subcarriers whose discriminative prior is zero); the
-    outer layer updates the multipliers to meet the power budgets.  The
-    receive coefficients do not affect the MD and are set to the
+    Zero power lands on subcarriers whose discriminative prior is zero.
+    The receive coefficients do not affect the MD and are set to the
     MSE-minimizing rule so the design can still be decoded.
     """
     if np.all(inst.delta <= 0):
         raise ValidationError("fdm_md_optimal requires delta > 0 on some subcarrier")
-    opts = DualOptions(eps_lambda=eps_lambda, eps_power=eps_power,
-                       max_iters=max_iters, step_scale=step_scale,
-                       polish_sweeps=polish_sweeps)
-    core = _DualCore(*_stack(inst))
-    lam, z, b, kkt, iters = core.run("md", opts)
-    tx = b[0]
-    rx = rx_mse_optimal(inst, tx)
-    design = _make_design(inst, tx, rx)
+    lam, z, tx, rx, kkt = _fdm_batch("md", *_stack(inst))
+    tx, z = tx[0], z[0]
+    design = _make_design(inst, tx, rx[0])
     objective = design_md(inst, design)
-    consistency = _z_consistency(inst, tx, z[0])
-    kkt_val = float(max(kkt[0], consistency))
+    kkt_val = float(kkt[0])
     return SolveReport(
-        design=design, objective=objective, iterations=iters,
-        kkt_residual=kkt_val, converged=bool(kkt_val <= opts.kkt_tol),
-        extras={"duals": lam[0].tolist(), "z": z[0].tolist(),
-                "z_consistency": consistency},
+        design=design, objective=objective, iterations=POLISH_SWEEPS,
+        kkt_residual=kkt_val, converged=bool(kkt_val <= KKT_TOL),
+        extras={"duals": lam[0].tolist(), "z": z.tolist(),
+                "z_consistency": _z_consistency(inst, tx, z)},
     )
 
 
 def _z_consistency(inst: FdmInstance, tx, z) -> float:
     """Residual of z_n = sum|h b| / (sum |h b|^2 shat^2 + noise), relative
     to the largest auxiliary (subcarriers shut off by the solver carry
-    vanishing z and must not dominate the check)."""
+    vanishing z and must not dominate the check).  The same residual over
+    the smaller scale max|z_check| is part of the KKT residual."""
     g, _, _, sv, noise, _, _ = _arrays(inst)
     hb = g * tx
     num = np.sum(hb, axis=0)
@@ -735,23 +642,21 @@ def _z_consistency(inst: FdmInstance, tx, z) -> float:
 # baselines
 # ---------------------------------------------------------------------------
 
+def _baseline(inst, name) -> TransceiverDesign:
+    tx, rx, _ = solve_batch(name, *_stack(inst))
+    return _make_design(inst, tx[0], rx[0])
+
+
 def baseline_equal(inst) -> TransceiverDesign:
     """Uniform power split: |b_kn| = sqrt(P_k / (N nu_kn^2)), receive
     coefficients per the MSE-minimizing rule."""
-    _, budgets, moments, _, _, _, _ = _arrays(inst)
-    N = moments.shape[1]
-    tx = np.sqrt(budgets[:, None] / (N * moments))
-    return _make_design(inst, tx, rx_mse_optimal(inst, tx))
+    return _baseline(inst, "equal")
 
 
 def baseline_channel_inversion(inst) -> TransceiverDesign:
     """Channel inversion capped by the uniform split:
     |b_kn| = min(sqrt(P_k / (N nu_kn^2)), 1/h_kn)."""
-    g, budgets, moments, _, _, _, _ = _arrays(inst)
-    N = moments.shape[1]
-    cap = np.sqrt(budgets[:, None] / (N * moments))
-    tx = np.minimum(cap, 1.0 / g)
-    return _make_design(inst, tx, rx_mse_optimal(inst, tx))
+    return _baseline(inst, "channel_inversion")
 
 
 # ---------------------------------------------------------------------------
@@ -823,15 +728,9 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
         raise ValidationError("md objective requires delta > 0 somewhere")
 
     def value(tx):
-        hb = g * tx
-        den = np.sum(hb * hb * sv, axis=-2) + noise
-        safe = np.where(den > 0, den, 1.0)
         if objective == "mse":
-            num = np.sum(hb * sv, axis=-2) ** 2
-            per = np.sum(sv, axis=-2) - np.where(den > 0, num / safe, 0.0)
-            return np.sum(per, axis=-1)
-        num = delta * np.sum(hb, axis=-2) ** 2
-        return -np.sum(np.where(den > 0, num / safe, 0.0), axis=-1)
+            return np.sum(mse_min_rx(g, tx, sv, noise), axis=-1)
+        return -np.sum(md_received(g, tx, sv, noise, delta), axis=-1)
 
     dims = K if N == 1 else 2 * K
     axis = np.linspace(0.0, 1.0, grid_resolution)
@@ -976,7 +875,7 @@ SOLVER_NAMES = ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal",
                 "channel_inversion")
 
 
-def solve(inst, solver: str, **options) -> SolveReport:
+def solve(inst, solver: str) -> SolveReport:
     """Run a solver by name and return a SolveReport (baselines are
     wrapped with their realized MSE as the objective)."""
     if solver == "tdm_mse":
@@ -984,9 +883,9 @@ def solve(inst, solver: str, **options) -> SolveReport:
     if solver == "tdm_md":
         return tdm_md_optimal(inst)
     if solver == "fdm_mse":
-        return fdm_mse_dual(inst, **options)
+        return fdm_mse_dual(inst)
     if solver == "fdm_md":
-        return fdm_md_optimal(inst, **options)
+        return fdm_md_optimal(inst)
     if solver in ("equal", "channel_inversion"):
         design = (baseline_equal(inst) if solver == "equal"
                   else baseline_channel_inversion(inst))

@@ -38,14 +38,3 @@ def check_finite(arr, name):
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
-
-
-def check_positive(arr, name, strict=True):
-    arr = np.asarray(arr)
-    if strict:
-        if np.any(arr <= 0):
-            raise ValidationError(f"{name} must be strictly positive")
-    else:
-        if np.any(arr < 0):
-            raise ValidationError(f"{name} must be nonnegative")
-    return arr

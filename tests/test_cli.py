@@ -71,6 +71,19 @@ class TestAccuracySweep:
         assert main(["accuracy-sweep", "--config", cfg,
                      "--output", str(tmp_path / "o.csv")]) == 2
 
+    def test_unknown_solver_opts_are_validation_error(self, tmp_path, capsys):
+        cfg = accuracy_config(tmp_path, solver_opts={"max_iters": 150})
+        assert main(["accuracy-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "o.csv")]) == 2
+        assert "max_iters" in capsys.readouterr().err
+
+    def test_device_sweep_over_several_comm_snrs_is_validation_error(self, tmp_path,
+                                                                    capsys):
+        cfg = accuracy_config(tmp_path, sweep_variable="K", sweep_values=[1, 2])
+        assert main(["accuracy-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "o.csv")]) == 2
+        assert "K sweep" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         cfg = accuracy_config(tmp_path)
         assert main(["accuracy-sweep", "--config", cfg, "--frobnicate"]) == 1

@@ -10,7 +10,6 @@ from iseasim.pipeline import (
     calibrate,
     default_prior,
     export,
-    kahan_sum,
     read_metrics_csv,
     run_trial,
     sweep,
@@ -42,6 +41,13 @@ class TestConfig:
     def test_sensing_vars_length_checked(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(num_devices=3, sensing_vars=(0.1, 0.2))
+
+    def test_solver_opts_accept_only_kkt_tol(self):
+        ExperimentConfig(solver_opts={"kkt_tol": 1e-5})
+        with pytest.raises(ValidationError, match="max_iters"):
+            ExperimentConfig(solver_opts={"max_iters": 150})
+        with pytest.raises(ValidationError, match="kkt_tol"):
+            ExperimentConfig(solver_opts={"kkt_tol": "tight"})
 
 
 class TestDefaultPrior:
@@ -101,7 +107,7 @@ class TestRunTrial:
         cfg = tiny_config(sensing_vars=(0.0, 0.0, 0.0), noise_var=1e-12,
                           estimator="ml", solver="equal")
         prior = pipeline.load_prior(cfg)
-        ctx = pipeline._build_context(cfg, "comm_snr", 180.0, 0)
+        ctx = pipeline.build_context(cfg, "comm_snr", 180.0, 0)
         out = pipeline.run_trials_batch(ctx, range(30))
         labels, X, _, _, _ = pipeline._draw_trials(ctx, range(30))
         np.testing.assert_array_equal(out["preds"],
@@ -110,7 +116,7 @@ class TestRunTrial:
 
     def test_matches_batch_path(self):
         cfg = tiny_config(solver="fdm_md")
-        ctx = pipeline._build_context(cfg, "comm_snr", 10.0, 0)
+        ctx = pipeline.build_context(cfg, "comm_snr", 10.0, 0)
         out = pipeline.run_trials_batch(ctx, [5])
         single = run_trial(cfg, 5)
         assert single == (int(out["labels"][0]), int(out["preds"][0]),
@@ -173,6 +179,12 @@ class TestSweep:
         recs = sweep(cfg, "K", [1, 4])
         assert len(recs) == 2
         assert recs[0].sweep_value == 1.0
+
+    def test_non_snr_sweep_needs_one_comm_snr(self):
+        cfg = tiny_config(comm_snr_db=(0.0, 10.0))
+        for variable, values in (("K", [1, 2]), ("N", [4]), ("sensing_snr", [5.0])):
+            with pytest.raises(ValidationError, match=variable):
+                sweep(cfg, variable, values)
 
     def test_exclusion_budget_enforced(self):
         cfg = tiny_config(trials=20, solver="fdm_mse",
@@ -249,11 +261,3 @@ class TestEstimatorSweep:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("sensing_snr_db,mse_ml")
         assert len(lines) == 3
-
-
-class TestKahanSum:
-    def test_matches_fsum(self):
-        import math
-        rng = np.random.default_rng(8)
-        values = list(rng.normal(size=5000) * 10.0 ** rng.integers(-6, 6, 5000))
-        assert kahan_sum(values) == pytest.approx(math.fsum(values), rel=1e-12)

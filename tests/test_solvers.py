@@ -18,6 +18,7 @@ from iseasim.solvers import (
     random_tdm_instance,
     rx_mse_optimal,
     solve,
+    solve_batch,
     tdm_md_optimal,
     tdm_mse_optimal,
 )
@@ -308,6 +309,53 @@ class TestFdmDominance:
                 <= design_mse(inst, rep_d.design) * (1 + 1e-6)
             assert design_md(inst, rep_d.design) \
                 >= design_md(inst, rep_c.design) * (1 - 1e-6)
+
+
+def _stack(instances):
+    return (np.stack([i.gains for i in instances]),
+            np.stack([i.budgets for i in instances]),
+            np.stack([i.moments for i in instances]),
+            np.stack([i.est_vars for i in instances]),
+            np.array([i.noise_var for i in instances]),
+            np.stack([i.delta for i in instances]))
+
+
+class TestSolveBatch:
+    NAMES = ("fdm_mse", "fdm_md", "equal", "channel_inversion")
+
+    def test_batch_equals_each_instance_alone(self):
+        rng = np.random.default_rng(23)
+        instances = [random_fdm_instance(rng, 3, 4) for _ in range(6)]
+        for name in self.NAMES:
+            tx, rx, kkt = solve_batch(name, *_stack(instances))
+            for i, inst in enumerate(instances):
+                tx1, rx1, kkt1 = solve_batch(name, *_stack([inst]))
+                np.testing.assert_array_equal(tx[i], tx1[0])
+                np.testing.assert_array_equal(rx[i], rx1[0])
+                np.testing.assert_array_equal(kkt[i], kkt1[0])
+
+    def test_single_instance_api_is_row_zero(self):
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            inst = random_fdm_instance(rng, int(rng.integers(1, 5)),
+                                       int(rng.integers(1, 5)))
+            batch = _stack([inst])
+            for name, report in (("fdm_mse", fdm_mse_dual(inst)),
+                                 ("fdm_md", fdm_md_optimal(inst))):
+                tx, rx, kkt = solve_batch(name, *batch)
+                np.testing.assert_array_equal(report.design.tx, tx[0])
+                np.testing.assert_array_equal(report.design.rx, rx[0])
+                assert report.kkt_residual == kkt[0]
+            for name, design in (("equal", baseline_equal(inst)),
+                                 ("channel_inversion", baseline_channel_inversion(inst))):
+                tx, rx, _ = solve_batch(name, *batch)
+                np.testing.assert_array_equal(design.tx, tx[0])
+                np.testing.assert_array_equal(design.rx, rx[0])
+
+    def test_unknown_name_rejected(self):
+        rng = np.random.default_rng(25)
+        with pytest.raises(ValidationError, match="tdm_mse"):
+            solve_batch("tdm_mse", *_stack([random_fdm_instance(rng, 2, 2)]))
 
 
 class TestBruteForceOracle:
