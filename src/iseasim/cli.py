@@ -106,71 +106,62 @@ def _cmd_entropy_report(args) -> int:
     return 0
 
 
-def _cmd_tdm_compare(args) -> int:
-    """Per-slot MSE and MD of the two TDM solvers, averaged over seeded
-    channel draws per communication SNR.  Estimate variances are pooled
-    across devices and dimensions (the MD closed form requires device
-    homogeneity)."""
-    config = _experiment_config(_load_config(args.config), args.seed)
-    K = config.num_devices
-    rows = []
-    for v_idx, snr_db in enumerate(config.comm_snr_db):
-        # value index 0: every SNR point shares one calibration
-        ctx = pipeline.build_context(config, "comm_snr", snr_db, 0)
-        sv_pooled = float(ctx.sigma_hat.mean())
-        nu_slot = ctx.nu2.mean(axis=1)
-        delta_slot = float(ctx.delta.mean())
-        sums = np.zeros(4)
-        for i in range(config.trials):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                config.seed, spawn_key=(_DOM_COMPARE, v_idx, i)))
-            gains = rng.rayleigh(scale=np.sqrt(0.5), size=K)
-            inst = solvers.TdmInstance(
-                gains=gains, budgets=ctx.budgets, moments=nu_slot,
-                est_vars=np.full(K, sv_pooled), noise_var=config.noise_var,
-                delta=delta_slot)
-            rep_mse = solvers.tdm_mse_optimal(inst)
-            rep_md = solvers.tdm_md_optimal(inst)
-            sums += [rep_mse.objective, solvers.design_md(inst, rep_mse.design),
-                     solvers.design_mse(inst, rep_md.design), rep_md.objective]
-        means = sums / config.trials
-        rows.append([_fmt(snr_db), _fmt(means[0]), _fmt(means[1]),
-                     _fmt(means[2]), _fmt(means[3])])
-    _write_csv(args.output,
-               ["comm_snr_db", "mse_comp", "md_comp", "mse_dec", "md_dec"],
-               rows)
-    return 0
+def _rayleigh_draws(config, v_idx, size) -> np.ndarray:
+    """(trials, *size) unit-scale Rayleigh gains for comm-SNR point v_idx,
+    one seeded stream per trial."""
+    gains = np.empty((config.trials, *size))
+    for i in range(config.trials):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            config.seed, spawn_key=(_DOM_COMPARE, v_idx, i)))
+        gains[i] = rng.rayleigh(scale=np.sqrt(0.5), size=size)
+    return gains
 
 
-def _cmd_fdm_compare(args) -> int:
-    """MSE and MD of the two FDM designs plus the baselines, averaged over
-    seeded channel draws per communication SNR."""
+def _compare(args, columns, statistics) -> int:
+    """Mean MSE and MD of each (tag, solver) design in `columns` over
+    seeded channel draws per communication SNR.  `statistics(ctx)` gives
+    the (moments, est_vars, delta) the designs are solved and evaluated
+    on; its moments' shape sets the per-trial draw."""
     config = _experiment_config(_load_config(args.config), args.seed)
-    K, M = config.num_devices, config.feature_dim
-    T = config.trials
     header = ["comm_snr_db"]
-    for tag in ("comp", "dec", "equal", "inv"):
+    for tag, _ in columns:
         header += [f"mse_{tag}", f"md_{tag}"]
     rows = []
     for v_idx, snr_db in enumerate(config.comm_snr_db):
         # value index 0: every SNR point shares one calibration
         ctx = pipeline.build_context(config, "comm_snr", snr_db, 0)
-        gains = np.empty((T, K, M))
-        for i in range(T):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                config.seed, spawn_key=(_DOM_COMPARE, v_idx, i)))
-            gains[i] = rng.rayleigh(scale=np.sqrt(0.5), size=(K, M))
+        moments, est_vars, delta = statistics(ctx)
+        gains = _rayleigh_draws(config, v_idx, moments.shape)
         row = [_fmt(snr_db)]
-        for name in ("fdm_mse", "fdm_md", "equal", "channel_inversion"):
-            tx, rx, _ = solvers.solve_batch(name, gains, ctx.budgets, ctx.nu2,
-                                            ctx.sigma_hat, ctx.noise_var, ctx.delta)
-            mse = mse_at_rx(gains, tx, rx, ctx.sigma_hat, ctx.noise_var)
-            md = np.sum(md_received(gains, tx, ctx.sigma_hat, ctx.noise_var, ctx.delta),
-                        axis=1)
+        for _, name in columns:
+            tx, rx, _ = solvers.solve_batch(name, gains, ctx.budgets, moments,
+                                            est_vars, ctx.noise_var, delta)
+            mse = mse_at_rx(gains, tx, rx, est_vars, ctx.noise_var)
+            md = np.sum(md_received(gains, tx, est_vars, ctx.noise_var, delta), axis=1)
             row += [_fmt(mse.mean()), _fmt(md.mean())]
         rows.append(row)
     _write_csv(args.output, header, rows)
     return 0
+
+
+def _cmd_tdm_compare(args) -> int:
+    """Per-slot MSE and MD of the two TDM solvers.  Estimate variances
+    are pooled across devices and dimensions (the MD closed form requires
+    device homogeneity)."""
+
+    def slot(ctx):
+        return (ctx.nu2.mean(axis=1, keepdims=True),
+                np.full((ctx.nu2.shape[0], 1), ctx.sigma_hat.mean()),
+                np.array([ctx.delta.mean()]))
+
+    return _compare(args, (("comp", "tdm_mse"), ("dec", "tdm_md")), slot)
+
+
+def _cmd_fdm_compare(args) -> int:
+    """MSE and MD of the two FDM designs plus the baselines."""
+    return _compare(args, (("comp", "fdm_mse"), ("dec", "fdm_md"), ("equal", "equal"),
+                           ("inv", "channel_inversion")),
+                    lambda ctx: (ctx.nu2, ctx.sigma_hat, ctx.delta))
 
 
 def _cmd_accuracy_sweep(args) -> int:

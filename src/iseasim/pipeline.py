@@ -91,15 +91,20 @@ class ExperimentConfig:
             raise ValidationError("trials must be >= 1")
         if self.scheme not in ("tdm", "fdm"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "fdm" and self.feature_dim > self.num_subcarriers:
+        if self.feature_dim > self.num_subcarriers:
             raise ValidationError(
                 f"feature_dim {self.feature_dim} must not exceed "
-                f"num_subcarriers {self.num_subcarriers} under FDM"
+                f"num_subcarriers {self.num_subcarriers}"
             )
         if self.estimator not in ("ml", "mmse", "rwb"):
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         if self.solver not in solvers.SOLVER_NAMES:
             raise ValidationError(f"unknown solver {self.solver!r}")
+        if self.scheme == "fdm" and self.solver in solvers.TDM_SOLVERS:
+            raise ValidationError(
+                f"solver {self.solver!r} designs one TDM slot and cannot serve "
+                "scheme 'fdm', whose subcarriers fade independently"
+            )
         if self.decode not in DECODE_MODES:
             raise ValidationError(f"decode must be one of {DECODE_MODES}")
         if self.noise_var <= 0:
@@ -255,6 +260,7 @@ class TrialContext:
     sigma_hat: np.ndarray
     nu2: np.ndarray
     delta: np.ndarray
+    design_stats: tuple
     decode: str
     erasure_factor: float
     seed: int
@@ -313,11 +319,23 @@ def build_context(config: ExperimentConfig, variable: str, value,
     )
     delta = discriminative_prior(prior).delta if prior.num_classes > 1 \
         else np.zeros(prior.feature_dim)
+    # (moments, est_vars, delta) the solver designs against: per feature
+    # dimension, or for the TDM closed forms one slot of per-device
+    # averages over the dimensions (pooled over devices for tdm_md, whose
+    # closed form needs homogeneous variances).
+    design_stats = (cal.nu2, cal.sigma_hat, delta)
+    if cfg.solver in solvers.TDM_SOLVERS:
+        sv_slot = cal.sigma_hat.mean(axis=1, keepdims=True)
+        if cfg.solver == "tdm_md":
+            sv_slot = np.full_like(sv_slot, sv_slot.mean())
+        design_stats = (cal.nu2.mean(axis=1, keepdims=True), sv_slot,
+                        np.array([delta.mean()]))
     return TrialContext(
         prior=prior, sensing_vars=sensing_vars, budgets=budgets,
         noise_var=cfg.noise_var, scheme=cfg.scheme, estimator=cfg.estimator,
         solver=cfg.solver, num_subcarriers=cfg.num_subcarriers,
         sigma_hat=cal.sigma_hat, nu2=cal.nu2, delta=delta,
+        design_stats=design_stats,
         decode=cfg.decode, erasure_factor=cfg.erasure_factor,
         seed=cfg.seed, value_index=value_index,
         responsibility_noise_var=cfg.responsibility_noise_var,
@@ -387,37 +405,28 @@ def _estimate_all(ctx: TrialContext, labels, X_tilde):
 
 
 def _solve_designs(ctx: TrialContext, gains_used):
-    """Batched transceiver designs for every trial.
+    """Designs for every trial on the context's design statistics, whose S
+    columns (M, or one TDM slot) are broadcast over the M features.  The
+    TDM closed forms run per trial through `tdm_*_optimal` (`solve_batch`
+    at B=1), whose calls the perfbench trace counts per trial.
 
     Returns (tx (T,K,M), rx (T,M), kkt (T,)).  Per-trial results are
     bit-identical no matter how trials are chunked across workers.
     """
-    if ctx.solver in solvers.BATCH_SOLVERS:
-        return solvers.solve_batch(ctx.solver, gains_used, ctx.budgets, ctx.nu2,
-                                   ctx.sigma_hat, ctx.noise_var, ctx.delta)
-
-    # TDM closed forms run per trial on slot-invariant statistics
-    # (per-device averages over feature dimensions).
+    moments, est_vars, delta = ctx.design_stats
     T, K, M = gains_used.shape
-    tx = np.empty((T, K, M))
-    rx = np.empty((T, M))
-    kkt = np.empty(T)
-    sv_slot = ctx.sigma_hat.mean(axis=1)
-    nu_slot = ctx.nu2.mean(axis=1)
-    delta_slot = float(ctx.delta.mean())
-    for i in range(T):
-        inst = solvers.TdmInstance(
-            gains=gains_used[i, :, 0], budgets=ctx.budgets,
-            moments=nu_slot,
-            est_vars=np.full(K, sv_slot.mean()) if ctx.solver == "tdm_md" else sv_slot,
-            noise_var=ctx.noise_var, delta=delta_slot,
-        )
-        report = (solvers.tdm_mse_optimal(inst) if ctx.solver == "tdm_mse"
-                  else solvers.tdm_md_optimal(inst))
-        tx[i] = np.tile(report.design.tx, (1, M))
-        rx[i] = np.full(M, report.design.rx[0])
-        kkt[i] = report.kkt_residual
-    return tx, rx, kkt
+    if ctx.solver in solvers.TDM_SOLVERS:
+        solve_one = solvers.tdm_mse_optimal if ctx.solver == "tdm_mse" else solvers.tdm_md_optimal
+        tx, rx, kkt = np.empty((T, K, 1)), np.empty((T, 1)), np.empty(T)
+        for i in range(T):
+            report = solve_one(solvers.TdmInstance(
+                gains=gains_used[i, :, 0], budgets=ctx.budgets, moments=moments[:, 0],
+                est_vars=est_vars[:, 0], noise_var=ctx.noise_var, delta=float(delta[0])))
+            tx[i], rx[i], kkt[i] = report.design.tx, report.design.rx, report.kkt_residual
+    else:
+        tx, rx, kkt = solvers.solve_batch(ctx.solver, gains_used, ctx.budgets, moments,
+                                          est_vars, ctx.noise_var, delta)
+    return np.broadcast_to(tx, (T, K, M)), np.broadcast_to(rx, (T, M)), kkt
 
 
 def _decode(ctx: TrialContext, y_hat, rx, hb):

@@ -19,10 +19,10 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
 * fdm_md_optimal  : the same scheme on the quadratic-transform auxiliary
   z_n of the received MD.
 
-`solve_batch` runs the FDM designs and the two baselines (equal power,
-capped channel inversion) on a stack of instances; the single-instance
-functions are its B=1 case.  The receive rule, MSE and MD formulas are
-the kernels of `channel`.
+`solve_batch` runs all six designs -- these four and the two baselines
+(equal power, capped channel inversion) -- on a stack of instances; the
+single-instance functions are its B=1 case.  The receive rule, MSE and
+MD formulas are the kernels of `channel`.
 
 All quantities are real magnitudes.  `moments` fields hold the second
 moments nu^2 of the transmitted estimates, `est_vars` the per-device
@@ -61,6 +61,11 @@ TINY = 1e-300
 # FDM solve reports convergence.
 POLISH_SWEEPS = 120
 KKT_TOL = 1e-6
+
+SOLVER_NAMES = ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal",
+                "channel_inversion")
+# The closed forms that design one TDM slot (N = 1).
+TDM_SOLVERS = ("tdm_mse", "tdm_md")
 
 
 @dataclass(frozen=True)
@@ -256,106 +261,109 @@ def _make_design(inst, tx, rx) -> TransceiverDesign:
 # TDM closed forms
 # ---------------------------------------------------------------------------
 
-def tdm_mse_optimal(inst: TdmInstance) -> SolveReport:
-    """Threshold-structured MSE-optimal per-slot design.
+def _tdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
+    """Closed-form TDM designs on a stack of B per-slot instances: gains,
+    moments and est_vars (B, K, 1), budgets (B, K), noise (B,), delta
+    (B, 1).  Returns (tx (B, K, 1), rx (B, 1), kkt (B,), extras), extras
+    holding one (B, ...) array per `SolveReport.extras` field.
 
-    Every candidate threshold index is evaluated: the k weakest devices
-    (by u_k = h sqrt(P)/nu) transmit full power, the rest invert against
-    the candidate receive scale, and the candidate with the least realized
-    MSE wins.  Inversion is clamped to the power box, so every candidate
-    is feasible regardless of which ordering assumption holds.
+    Devices are sorted by effective link strength u_k = h sqrt(P)/nu and
+    every threshold candidate j (the j weakest devices at full power) is
+    evaluated at once.  mse: the rest invert the channel against the
+    candidate receive scale, clamped to the power box so every candidate
+    is feasible; the least realized MSE wins, the first on ties.  md: the
+    segment stationary point tau_j = (sum u^2 + noise_eq) / (sum u),
+    clamped to its segment, caps c_k = h_k b_k; the largest capped value
+    wins, the first on ties, which is the smallest cap because the
+    clamped taus do not decrease in j.  Each candidate's prefix sums are
+    a fresh `np.sum` over its devices: a cumulative sum rounds differently
+    from numpy's pairwise sum once K >= 8.
     """
-    h = inst.gains
-    nu = np.sqrt(inst.moments)
-    sv = inst.est_vars
-    b_full = np.sqrt(inst.budgets) / nu
+    h, mom, sv = gains[:, :, 0], moments[:, :, 0], est_vars[:, :, 0]
+    B, K = h.shape
+    rows = np.arange(B)
+    b_full = np.sqrt(budgets) / np.sqrt(mom)
     u = h * b_full
-    order = np.argsort(u, kind="stable")
-    best = None
-    for j in range(1, inst.num_devices + 1):
-        prefix = order[:j]
-        num = np.sum(h[prefix] * sv[prefix] * b_full[prefix])
-        den = np.sum((h[prefix] * b_full[prefix]) ** 2 * sv[prefix]) + inst.noise_var
-        if den <= 0 or num <= 0:
-            continue
-        a = num / den
-        b = np.minimum(b_full, 1.0 / (a * h))
-        mse = float(mse_at_rx(h[:, None], b[:, None], np.array([a]), sv[:, None],
-                              inst.noise_var))
-        if best is None or mse < best[0]:
-            best = (mse, a, b, j)
-    mse, a, b, k_star = best
-    design = _make_design(inst, b[:, None], [a])
-    # a is a fixed point of the MSE-optimal receive rule at the returned b.
-    a_opt = rx_mse_optimal(inst, b[:, None])[0]
-    kkt = abs(a - a_opt) / max(a_opt, TINY)
-    full_mask = b >= b_full * (1.0 - 1e-12)
-    return SolveReport(
-        design=design, objective=mse, iterations=inst.num_devices,
-        kkt_residual=float(kkt), converged=bool(kkt <= 1e-6),
-        extras={"threshold_index": int(k_star), "a_star": float(a),
-                "order": order.tolist(), "full_power": full_mask.tolist()},
-    )
+    order = np.argsort(u, axis=1, kind="stable")
 
+    def prefix_sums(x):
+        xs = np.take_along_axis(x, order, axis=1)
+        return np.stack([np.sum(xs[:, :j], axis=1) for j in range(1, K + 1)], axis=1)
 
-def _tdm_md_cap_value(u_sorted, cap, noise_eq):
-    c = np.minimum(u_sorted, cap)
-    s1 = np.sum(c)
-    return s1 * s1 / (np.sum(c * c) + noise_eq) if s1 > 0 else 0.0
+    if kind == "mse":
+        a = prefix_sums(h * sv * b_full) / (prefix_sums(u ** 2 * sv) + noise[:, None])
+        b = np.minimum(b_full[:, None, :], 1.0 / (a[:, :, None] * h[:, None, :]))
+        mse = mse_at_rx(h[:, None, :, None], b[..., None], a[..., None],
+                        sv[:, None, :, None], noise[:, None])
+        best = np.argmin(mse, axis=1)
+        a, b = a[rows, best], b[rows, best]
+        # a is a fixed point of the MSE-optimal receive rule at the returned b.
+        a_opt = receive_rule(h[..., None], b[..., None], sv[..., None], noise[:, None])[:, 0]
+        kkt = np.abs(a - a_opt) / np.maximum(a_opt, TINY)
+        return b[..., None], a[:, None], kkt, {
+            "threshold_index": best + 1, "a_star": a, "order": order,
+            "full_power": b >= b_full * (1.0 - 1e-12)}
 
-
-def tdm_md_optimal(inst: TdmInstance) -> SolveReport:
-    """Capped water-filling maximizing the per-slot received MD.
-
-    Valid only when all devices share one estimate variance (the
-    reformulation onto c_k = h_k b_k requires it); heterogeneous instances
-    must go through brute_force_oracle.
-    """
-    if inst.delta <= 0:
+    if np.any(delta <= 0):
         raise ValidationError("tdm_md_optimal requires delta > 0")
-    sv = inst.est_vars
-    spread = (sv.max() - sv.min()) / sv.max()
+    spread = np.max((sv.max(axis=1) - sv.min(axis=1)) / sv.max(axis=1))
     if spread > 1e-9:
         raise ValidationError(
             "tdm_md_optimal requires homogeneous est_vars across devices "
             f"(relative spread {spread:.3g}); use brute_force_oracle for "
             "heterogeneous instances"
         )
-    h = inst.gains
-    nu = np.sqrt(inst.moments)
-    b_full = np.sqrt(inst.budgets) / nu
-    u = h * b_full
-    order = np.argsort(u, kind="stable")
-    us = u[order]
-    noise_eq = inst.noise_var / sv[0]
-    K = us.shape[0]
-    best_val, best_tau = None, None
-    for j in range(1, K + 1):
-        a_j = np.sum(us[:j])
-        b_j = np.sum(us[:j] ** 2)
-        tau_j = (b_j + noise_eq) / a_j if a_j > 0 else us[j - 1]
-        lo = us[j - 1]
-        hi = us[j] if j < K else np.inf
-        tau = min(max(tau_j, lo), hi) if np.isfinite(hi) else max(tau_j, lo)
-        val = _tdm_md_cap_value(us, tau, noise_eq)
-        # ties break toward the smaller cap
-        if best_val is None or val > best_val or (val == best_val and tau < best_tau):
-            best_val, best_tau = val, tau
-    c = np.minimum(u, best_tau)
-    b = c / h
-    rx = rx_mse_optimal(inst, b[:, None])
-    design = _make_design(inst, b[:, None], rx)
-    objective = design_md(inst, design)
+    us = np.take_along_axis(u, order, axis=1)
+    noise_eq = (noise / sv[:, 0])[:, None]
+
+    def cap_value(cap):
+        c = np.minimum(us[:, None, :], cap[..., None])
+        s1 = np.sum(c, axis=2)
+        return s1 * s1 / (np.sum(c * c, axis=2) + noise_eq)
+
+    tau = (prefix_sums(u ** 2) + noise_eq) / prefix_sums(u)
+    hi = np.concatenate([us[:, 1:], np.full((B, 1), np.inf)], axis=1)
+    tau = np.minimum(np.maximum(tau, us), hi)
+    val = cap_value(tau)
+    best = np.argmax(val, axis=1)
+    tau, val = tau[rows, best], val[rows, best]
     # first-order certificate: nudging the cap must not improve the value
-    kkt = 0.0
-    for bump in (1.0 - 1e-7, 1.0 + 1e-7):
-        gain = _tdm_md_cap_value(us, best_tau * bump, noise_eq) - best_val
-        kkt = max(kkt, gain / max(best_val, TINY))
+    bumped = cap_value(tau[:, None] * np.array([1.0 - 1e-7, 1.0 + 1e-7]))
+    kkt = np.max(np.maximum((bumped - val[:, None]) / np.maximum(val, TINY)[:, None], 0.0),
+                 axis=1)
+    b = np.minimum(u, tau[:, None]) / h
+    rx = receive_rule(h[..., None], b[..., None], sv[..., None], noise[:, None])
+    return b[..., None], rx, kkt, {"tau": tau, "order": order}
+
+
+def _tdm_report(kind, inst: TdmInstance, objective) -> SolveReport:
+    tx, rx, kkt, extras = _tdm_batch(kind, *_stack(inst))
+    design = _make_design(inst, tx[0], rx[0])
+    kkt_val = float(kkt[0])
     return SolveReport(
-        design=design, objective=objective, iterations=K,
-        kkt_residual=float(max(kkt, 0.0)), converged=bool(max(kkt, 0.0) <= 1e-6),
-        extras={"tau": float(best_tau), "order": order.tolist()},
+        design=design, objective=objective(inst, design),
+        iterations=inst.num_devices, kkt_residual=kkt_val,
+        converged=bool(kkt_val <= KKT_TOL),
+        extras={key: value[0].tolist() for key, value in extras.items()},
     )
+
+
+def tdm_mse_optimal(inst: TdmInstance) -> SolveReport:
+    """Threshold-structured MSE-optimal per-slot design (`_tdm_batch` at
+    B=1); extras name the threshold index, the receive scale a*, the
+    device order and the full-power mask."""
+    return _tdm_report("mse", inst, design_mse)
+
+
+def tdm_md_optimal(inst: TdmInstance) -> SolveReport:
+    """Capped water-filling maximizing the per-slot received MD
+    (`_tdm_batch` at B=1); extras name the cap tau and the device order.
+
+    Valid only when all devices share one estimate variance (the
+    reformulation onto c_k = h_k b_k requires it); heterogeneous instances
+    must go through brute_force_oracle.
+    """
+    return _tdm_report("md", inst, design_md)
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +542,18 @@ def _fdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
     return lam, aux, tx, rx, kkt
 
 
-BATCH_SOLVERS = ("fdm_mse", "fdm_md", "equal", "channel_inversion")
-
-
 def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
-    """Designs for a stack of B FDM instances.
+    """Designs of solver `name` (any of SOLVER_NAMES) for a stack of B
+    instances.
 
-    gains is (B, K, N); budgets broadcast to (B, K), moments and est_vars
-    to (B, K, N), noise to (B,) and delta to (B, N).  Returns (tx (B, K, N),
-    rx (B, N), kkt (B,)); the baselines report a zero KKT residual.  Each
-    instance's result is bit-for-bit the same however instances are
-    batched.
+    gains is (B, K, N), with N = 1 (one slot) for the TDM closed forms;
+    budgets broadcast to (B, K), moments and est_vars to (B, K, N), noise
+    to (B,) and delta to (B, N).  Returns (tx (B, K, N), rx (B, N), kkt
+    (B,)); the baselines report a zero KKT residual.  Each instance's
+    result is bit-for-bit the same however instances are batched.
     """
-    if name not in BATCH_SOLVERS:
-        raise ValidationError(f"unknown batch solver {name!r}; expected one of {BATCH_SOLVERS}")
+    if name not in SOLVER_NAMES:
+        raise ValidationError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     gains = np.asarray(gains, dtype=np.float64)
     B, K, N = gains.shape
 
@@ -558,10 +564,16 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
     moments = full(moments, (B, K, N))
     est_vars = full(est_vars, (B, K, N))
     noise = full(noise, (B,))
+    delta = full(delta, (B, N))
+    if name in TDM_SOLVERS:
+        if N != 1:
+            raise ValidationError(f"{name} designs one TDM slot; gains have {N} columns")
+        tx, rx, kkt, _ = _tdm_batch(name[4:], gains, budgets, moments, est_vars,
+                                    noise, delta)
+        return tx, rx, kkt
     if name in ("fdm_mse", "fdm_md"):
-        kind = "mse" if name == "fdm_mse" else "md"
-        _, _, tx, rx, kkt = _fdm_batch(kind, gains, budgets, moments, est_vars,
-                                       noise, full(delta, (B, N)))
+        _, _, tx, rx, kkt = _fdm_batch(name[4:], gains, budgets, moments, est_vars,
+                                       noise, delta)
         return tx, rx, kkt
     tx = equal_power(budgets, moments)
     if name == "channel_inversion":
@@ -871,25 +883,15 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
 # dispatch
 # ---------------------------------------------------------------------------
 
-SOLVER_NAMES = ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal",
-                "channel_inversion")
-
-
 def solve(inst, solver: str) -> SolveReport:
     """Run a solver by name and return a SolveReport (baselines are
     wrapped with their realized MSE as the objective)."""
-    if solver == "tdm_mse":
-        return tdm_mse_optimal(inst)
-    if solver == "tdm_md":
-        return tdm_md_optimal(inst)
-    if solver == "fdm_mse":
-        return fdm_mse_dual(inst)
-    if solver == "fdm_md":
-        return fdm_md_optimal(inst)
-    if solver in ("equal", "channel_inversion"):
-        design = (baseline_equal(inst) if solver == "equal"
-                  else baseline_channel_inversion(inst))
-        return SolveReport(design=design, objective=design_mse(inst, design),
-                           iterations=0, kkt_residual=0.0, converged=True,
-                           extras={})
-    raise ValidationError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+    designed = {"tdm_mse": tdm_mse_optimal, "tdm_md": tdm_md_optimal,
+                "fdm_mse": fdm_mse_dual, "fdm_md": fdm_md_optimal}
+    if solver in designed:
+        return designed[solver](inst)
+    if solver not in SOLVER_NAMES:
+        raise ValidationError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
+    design = _baseline(inst, solver)
+    return SolveReport(design=design, objective=design_mse(inst, design),
+                       iterations=0, kkt_residual=0.0, converged=True, extras={})

@@ -84,6 +84,20 @@ class TestAccuracySweep:
                      "--output", str(tmp_path / "o.csv")]) == 2
         assert "K sweep" in capsys.readouterr().err
 
+    def test_tdm_with_too_few_subcarriers_is_validation_error(self, tmp_path, capsys):
+        cfg = accuracy_config(tmp_path, trials=5, scheme="tdm", solver="tdm_mse",
+                              num_subcarriers=2, comm_snr_db=[10.0])
+        assert main(["accuracy-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "o.csv")]) == 2
+        assert "num_subcarriers" in capsys.readouterr().err
+
+    def test_tdm_solver_under_fdm_is_validation_error(self, tmp_path, capsys):
+        cfg = accuracy_config(tmp_path, scheme="fdm", solver="tdm_md")
+        assert main(["accuracy-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "tdm_md" in err and "fdm" in err
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         cfg = accuracy_config(tmp_path)
         assert main(["accuracy-sweep", "--config", cfg, "--frobnicate"]) == 1

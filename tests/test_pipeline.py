@@ -30,6 +30,17 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(feature_dim=5, num_subcarriers=4)
 
+    def test_tdm_requires_enough_subcarriers(self):
+        with pytest.raises(ValidationError, match="num_subcarriers"):
+            ExperimentConfig(scheme="tdm", solver="tdm_mse", num_subcarriers=2)
+
+    def test_tdm_solvers_rejected_under_fdm(self):
+        for solver in ("tdm_mse", "tdm_md"):
+            with pytest.raises(ValidationError, match=f"{solver}.*'fdm'"):
+                ExperimentConfig(scheme="fdm", solver=solver)
+        for solver in ("fdm_md", "equal"):
+            ExperimentConfig(scheme="tdm", solver=solver)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="color"):
             ExperimentConfig.from_dict({"color": "red"})
@@ -173,6 +184,19 @@ class TestSweep:
         monkeypatch.setenv(pipeline.WORKERS_ENV, "1")
         rec1 = sweep(cfg, "comm_snr", [10.0])[0]
         assert rec.acc_mean == rec1.acc_mean
+
+    @pytest.mark.parametrize("solver", ["tdm_mse", "tdm_md"])
+    def test_tdm_solvers_are_worker_invariant(self, tmp_path, solver):
+        paths = []
+        for workers in (1, 2):
+            cfg = tiny_config(trials=30, scheme="tdm", solver=solver, workers=workers)
+            recs = sweep(cfg, "comm_snr", [0.0, 10.0])
+            assert all(r.n_excluded == 0 and r.n_trials == 30 for r in recs)
+            paths.append(tmp_path / f"w{workers}.csv")
+            export(recs, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert (tmp_path / "w1_confusion.csv").read_bytes() \
+            == (tmp_path / "w2_confusion.csv").read_bytes()
 
     def test_k_sweep_changes_device_count(self):
         cfg = tiny_config(trials=25)

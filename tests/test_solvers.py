@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from iseasim.channel import mse_at_rx
 from iseasim.solvers import (
+    SOLVER_NAMES,
     FdmInstance,
     TdmInstance,
     baseline_channel_inversion,
@@ -312,21 +317,25 @@ class TestFdmDominance:
 
 
 def _stack(instances):
-    return (np.stack([i.gains for i in instances]),
+    """solve_batch inputs of a list of instances; a TDM slot is one column."""
+    def col(a):
+        return a[:, None] if isinstance(instances[0], TdmInstance) else a
+
+    return (np.stack([col(i.gains) for i in instances]),
             np.stack([i.budgets for i in instances]),
-            np.stack([i.moments for i in instances]),
-            np.stack([i.est_vars for i in instances]),
+            np.stack([col(i.moments) for i in instances]),
+            np.stack([col(i.est_vars) for i in instances]),
             np.array([i.noise_var for i in instances]),
-            np.stack([i.delta for i in instances]))
+            np.stack([np.atleast_1d(i.delta) for i in instances]))
 
 
 class TestSolveBatch:
-    NAMES = ("fdm_mse", "fdm_md", "equal", "channel_inversion")
-
     def test_batch_equals_each_instance_alone(self):
         rng = np.random.default_rng(23)
-        instances = [random_fdm_instance(rng, 3, 4) for _ in range(6)]
-        for name in self.NAMES:
+        fdm = [random_fdm_instance(rng, 3, 4) for _ in range(6)]
+        tdm = [random_tdm_instance(rng, 5, homogeneous_vars=True) for _ in range(6)]
+        for name in SOLVER_NAMES:
+            instances = tdm if name.startswith("tdm") else fdm
             tx, rx, kkt = solve_batch(name, *_stack(instances))
             for i, inst in enumerate(instances):
                 tx1, rx1, kkt1 = solve_batch(name, *_stack([inst]))
@@ -351,11 +360,118 @@ class TestSolveBatch:
                 tx, rx, _ = solve_batch(name, *batch)
                 np.testing.assert_array_equal(design.tx, tx[0])
                 np.testing.assert_array_equal(design.rx, rx[0])
+            inst = random_tdm_instance(rng, int(rng.integers(1, 9)), homogeneous_vars=True)
+            batch = _stack([inst])
+            for name, report in (("tdm_mse", tdm_mse_optimal(inst)),
+                                 ("tdm_md", tdm_md_optimal(inst))):
+                tx, rx, kkt = solve_batch(name, *batch)
+                np.testing.assert_array_equal(report.design.tx, tx[0])
+                np.testing.assert_array_equal(report.design.rx, rx[0])
+                assert report.kkt_residual == kkt[0]
 
     def test_unknown_name_rejected(self):
         rng = np.random.default_rng(25)
-        with pytest.raises(ValidationError, match="tdm_mse"):
+        with pytest.raises(ValidationError, match="genie"):
+            solve_batch("genie", *_stack([random_fdm_instance(rng, 2, 2)]))
+
+    def test_tdm_needs_one_slot_column(self):
+        rng = np.random.default_rng(26)
+        with pytest.raises(ValidationError, match="one TDM slot"):
             solve_batch("tdm_mse", *_stack([random_fdm_instance(rng, 2, 2)]))
+
+
+def _tdm_loop_reference(inst, kind):
+    """Per-instance loop form of the TDM closed forms, one threshold
+    candidate at a time: (b, rx, kkt, extras) that the batched kernel must
+    reproduce bit for bit."""
+    h, sv, noise = inst.gains, inst.est_vars, inst.noise_var
+    b_full = np.sqrt(inst.budgets) / np.sqrt(inst.moments)
+    u = h * b_full
+    order = np.argsort(u, kind="stable")
+    K = inst.num_devices
+    if kind == "mse":
+        best = None
+        for j in range(1, K + 1):
+            p = order[:j]
+            a = np.sum(h[p] * sv[p] * b_full[p]) / (np.sum(u[p] ** 2 * sv[p]) + noise)
+            b = np.minimum(b_full, 1.0 / (a * h))
+            mse = mse_at_rx(h[:, None], b[:, None], np.array([a]), sv[:, None], noise)
+            if best is None or mse < best[0]:
+                best = (mse, a, b, j)
+        _, a, b, j = best
+        a_opt = rx_mse_optimal(inst, b[:, None])[0]
+        return b, [a], abs(a - a_opt) / max(a_opt, 1e-300), {
+            "threshold_index": j, "a_star": float(a), "order": order.tolist(),
+            "full_power": (b >= b_full * (1.0 - 1e-12)).tolist()}
+    us = u[order]
+    noise_eq = noise / sv[0]
+
+    def value(cap):
+        c = np.minimum(us, cap)
+        s1 = np.sum(c)
+        return s1 * s1 / (np.sum(c * c) + noise_eq)
+
+    best_val, best_tau = None, None
+    for j in range(1, K + 1):
+        tau = max((np.sum(us[:j] ** 2) + noise_eq) / np.sum(us[:j]), us[j - 1])
+        tau = min(tau, us[j]) if j < K else tau
+        if best_val is None or value(tau) > best_val:
+            best_val, best_tau = value(tau), tau
+    b = np.minimum(u, best_tau) / h
+    kkt = max(0.0, *((value(best_tau * s) - best_val) / max(best_val, 1e-300)
+                     for s in (1.0 - 1e-7, 1.0 + 1e-7)))
+    return b, rx_mse_optimal(inst, b[:, None]), kkt, {
+        "tau": float(best_tau), "order": order.tolist()}
+
+
+class TestTdmBatchMatchesLoopReference:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 8, 9, 16])
+    def test_bit_identical_to_the_candidate_loop(self, K):
+        rng = np.random.default_rng(100 + K)
+        for homogeneous in (True, False):
+            for _ in range(20):
+                inst = random_tdm_instance(rng, K, homogeneous_vars=homogeneous)
+                solved = ((tdm_mse_optimal, "mse"), (tdm_md_optimal, "md"))
+                for solver, kind in solved if homogeneous else solved[:1]:
+                    report = solver(inst)
+                    b, rx, kkt, extras = _tdm_loop_reference(inst, kind)
+                    np.testing.assert_array_equal(report.design.tx[:, 0], b)
+                    np.testing.assert_array_equal(report.design.rx, rx)
+                    assert report.kkt_residual == kkt
+                    assert report.extras == extras
+
+
+_POSITIVE = st.floats(0.05, 3.0)
+
+
+@st.composite
+def _solver_stacks(draw, name):
+    """Random solve_batch inputs for `name`: B <= 3 instances of K <= 4
+    devices on N <= 3 subcarriers (one slot for the TDM solvers, with
+    per-instance homogeneous variances for tdm_md)."""
+    B, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    N = 1 if name.startswith("tdm") else draw(st.integers(1, 3))
+
+    def positive(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=_POSITIVE))
+
+    est_vars = (np.broadcast_to(positive(B, 1, 1), (B, K, N)) if name == "tdm_md"
+                else positive(B, K, N))
+    return (positive(B, K, N), positive(B, K), positive(B, K, N), est_vars,
+            positive(B), positive(B, N))
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_solve_batch_rows_equal_each_instance_alone(name, data):
+    batch = data.draw(_solver_stacks(name))
+    tx, rx, kkt = solve_batch(name, *batch)
+    for i in range(tx.shape[0]):
+        tx1, rx1, kkt1 = solve_batch(name, *(a[i:i + 1] for a in batch))
+        np.testing.assert_array_equal(tx[i], tx1[0])
+        np.testing.assert_array_equal(rx[i], rx1[0])
+        np.testing.assert_array_equal(kkt[i], kkt1[0])
 
 
 class TestBruteForceOracle:
