@@ -126,15 +126,17 @@ def _compare(args, columns, statistics) -> int:
     header = ["comm_snr_db"]
     for tag, _ in columns:
         header += [f"mse_{tag}", f"md_{tag}"]
+    # Calibration does not depend on the comm SNR: every point shares the
+    # context of value index 0 and takes its own budgets.
+    ctx = pipeline.build_context(config, "comm_snr", 0.0, 0)
+    moments, est_vars, delta = statistics(ctx)
     rows = []
     for v_idx, snr_db in enumerate(config.comm_snr_db):
-        # value index 0: every SNR point shares one calibration
-        ctx = pipeline.build_context(config, "comm_snr", snr_db, 0)
-        moments, est_vars, delta = statistics(ctx)
+        budgets = pipeline.power_budgets(config, snr_db)
         gains = _rayleigh_draws(config, v_idx, moments.shape)
         row = [_fmt(snr_db)]
         for _, name in columns:
-            tx, rx, _ = solvers.solve_batch(name, gains, ctx.budgets, moments,
+            tx, rx, _ = solvers.solve_batch(name, gains, budgets, moments,
                                             est_vars, ctx.noise_var, delta)
             mse = mse_at_rx(gains, tx, rx, est_vars, ctx.noise_var)
             md = np.sum(md_received(gains, tx, est_vars, ctx.noise_var, delta), axis=1)

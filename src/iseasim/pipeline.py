@@ -269,6 +269,12 @@ class TrialContext:
     kkt_tol: float
 
 
+def power_budgets(config: ExperimentConfig, snr_db: float) -> np.ndarray:
+    """Per-device power budgets P_k = noise_var * 10^(snr_db / 10) that
+    set the communication SNR."""
+    return np.full(config.num_devices, config.noise_var * 10.0 ** (snr_db / 10.0))
+
+
 def build_context(config: ExperimentConfig, variable: str, value,
                   value_index: int) -> TrialContext:
     """Prior, sensing variances, power budgets and calibration of sweep
@@ -309,8 +315,7 @@ def build_context(config: ExperimentConfig, variable: str, value,
             f"a {variable} sweep needs exactly one comm_snr_db value, "
             f"got {len(cfg.comm_snr_db)}"
         )
-    budgets = np.full(cfg.num_devices,
-                      cfg.noise_var * 10.0 ** (snr_db / 10.0))
+    budgets = power_budgets(cfg, snr_db)
 
     cal = calibrate(
         prior, sensing_vars, cfg.estimator, cfg.calibration_samples,

@@ -15,7 +15,8 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
 * fdm_mse_dual    : dual decomposition solved as a monotone fixed point:
   from the equal-power split, alternate the MSE-optimal receive rule with
   the exact per-device power-constrained transmit update, whose
-  multiplier is found by bisection.
+  multiplier is found by a fixed-count Newton iteration (the log-domain
+  bisection `_bisect_fixed` is kept only as its test reference).
 * fdm_md_optimal  : the same scheme on the quadratic-transform auxiliary
   z_n of the received MD.
 
@@ -46,11 +47,15 @@ from .channel import (
 )
 from .validation import ValidationError, as_matrix, as_vector, check_finite
 
-# Fixed bisection brackets.  Using constant brackets and a constant
-# iteration count keeps every root bit-identical no matter how instances
-# are batched; 64 halvings of the log-domain bracket [1e-30, 1e30] pin
-# roots to full float64 relative precision (well under the documented
-# 200-iteration cap).
+# Newton steps of the per-device multiplier root (`_DualCore._lambda_for`).
+# A fixed count keeps every root bit-identical however instances are
+# batched; from its lower-bound start the iteration converges to float64
+# precision within 10 steps (8 leave up to ~1e-6 relative error on rare
+# instances).
+NEWTON_STEPS = 10
+# Brackets and halvings of the log-domain bisection `_bisect_fixed`, which
+# no solver calls: the tests check the Newton root against it.  64
+# halvings of [1e-30, 1e30] pin a root to full float64 precision.
 BISECT_ITERS = 64
 LOG_LO = -30.0
 LOG_HI = 30.0
@@ -371,7 +376,8 @@ def tdm_md_optimal(inst: TdmInstance) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 def _bisect_fixed(f, shape):
-    """Vectorized log-domain bisection with a fixed iteration count.
+    """Vectorized log-domain bisection with a fixed iteration count, the
+    reference the tests check the Newton multiplier root against.
 
     f must be elementwise decreasing in its positive argument; returns the
     root of f = 0 inside [10**LOG_LO, 10**LOG_HI] (clamped to an endpoint
@@ -423,19 +429,34 @@ class _DualCore:
 
     def _lambda_for(self, c1, c2):
         """Multiplier per device meeting its power budget with equality
-        for the b-shape above (power use strictly decreases in the own
-        multiplier); devices inside their budget at zero get zero."""
+        for the b-shape above; devices inside their budget at zero get
+        zero.
 
-        def used_at(lam):
-            return self.power_used(self._b_shape(c1, c2, lam))
-
-        active = used_at(np.zeros((self.B, self.K))) > self.budgets
-
-        def f(lam):
-            return used_at(lam) - self.budgets
-
-        root = _bisect_fixed(f, (self.B, self.K))
-        return np.where(active, root, 0.0)
+        Newton on g(lam) = used(lam)^(-1/2) - P^(-1/2), where
+        used(lam) = sum_n nu^2 c1^2 / (c2 + lam nu^2)^2.  Each term is
+        x_n^-2 with x_n affine and increasing in lam, so g, a power mean
+        with p = -2, is concave and increasing.  The start, the largest
+        single-subcarrier root, has g <= 0 because no term exceeds the
+        sum; from there the iterates rise to the root without
+        overshooting, so no bracket is needed.  Shut-off subcarriers
+        (c1 = c2 = 0) add nothing.
+        """
+        mom, budgets = self.mom, self.budgets
+        active = self.power_used(self._b_shape(c1, c2, np.zeros((self.B, self.K)))) > budgets
+        lam = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
+                                axis=2), 0.0)
+        for _ in range(NEWTON_STEPS):
+            den = c2 + lam[:, :, None] * mom
+            pos = den > 0
+            den = np.where(pos, den, 1.0)
+            mb2 = mom * np.where(pos, c1 / den, 0.0) ** 2
+            used = np.sum(mb2, axis=2)
+            # slope = -used'(lam) / 2; the step is -g / g'
+            slope = np.sum(mb2 * mom / den, axis=2)
+            step = active & (slope > 0)
+            lam = lam + np.where(step, used * (np.sqrt(used / budgets) - 1.0)
+                                 / np.where(step, slope, 1.0), 0.0)
+        return np.where(active, lam, 0.0)
 
     # -- monotone primal refinements ---------------------------------------
 
@@ -548,13 +569,17 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
 
     gains is (B, K, N), with N = 1 (one slot) for the TDM closed forms;
     budgets broadcast to (B, K), moments and est_vars to (B, K, N), noise
-    to (B,) and delta to (B, N).  Returns (tx (B, K, N), rx (B, N), kkt
-    (B,)); the baselines report a zero KKT residual.  Each instance's
-    result is bit-for-bit the same however instances are batched.
+    to (B,) and delta to (B, N).  Inputs must follow the instance
+    classes' rules (a `ValidationError` names the argument that breaks
+    them).  Returns (tx (B, K, N), rx (B, N), kkt (B,)); the baselines
+    report a zero KKT residual.  Each instance's result is bit-for-bit
+    the same however instances are batched.
     """
     if name not in SOLVER_NAMES:
         raise ValidationError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     gains = np.asarray(gains, dtype=np.float64)
+    if gains.ndim != 3:
+        raise ValidationError(f"gains must be (B, K, N), got shape {gains.shape}")
     B, K, N = gains.shape
 
     def full(x, shape):
@@ -565,6 +590,15 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
     est_vars = full(est_vars, (B, K, N))
     noise = full(noise, (B,))
     delta = full(delta, (B, N))
+    # The rules of FdmInstance and TdmInstance; only the FDM dual solvers
+    # need noise > 0, as FdmInstance does.
+    noise_positive = name in ("fdm_mse", "fdm_md")
+    for arg, arr, positive in (("gains", gains, True), ("budgets", budgets, True),
+                               ("moments", moments, True), ("est_vars", est_vars, True),
+                               ("noise", noise, noise_positive), ("delta", delta, False)):
+        if not np.all(((arr > 0) if positive else (arr >= 0)) & (arr < np.inf)):
+            raise ValidationError(
+                f"{arg} must be finite and {'> 0' if positive else '>= 0'} in every instance")
     if name in TDM_SOLVERS:
         if N != 1:
             raise ValidationError(f"{name} designs one TDM slot; gains have {N} columns")

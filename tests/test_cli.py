@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from iseasim import pipeline
 from iseasim.cli import main
 
 
@@ -168,6 +169,22 @@ class TestCompareCommands:
         header = out1.read_text().split("\n")[0]
         assert header.startswith("comm_snr_db,mse_comp,md_comp,mse_dec,md_dec,"
                                  "mse_equal,md_equal,mse_inv,md_inv")
+
+    def test_calibrates_once_for_every_snr_point(self, tmp_path, monkeypatch):
+        calls = []
+        calibrate = pipeline.calibrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "calibrate", counted)
+        cfg = write_config(tmp_path, "fdm.json",
+                           {"trials": 5, "comm_snr_db": [0.0, 10.0, 20.0],
+                            "calibration_samples": 1500})
+        assert main(["fdm-compare", "--config", cfg,
+                     "--output", str(tmp_path / "f.csv")]) == 0
+        assert len(calls) == 1
 
 
 class TestValidateSolvers:

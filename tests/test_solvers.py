@@ -1,5 +1,7 @@
 """Tests for the transceiver power-allocation solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from iseasim.solvers import (
     tdm_md_optimal,
     tdm_mse_optimal,
 )
+from iseasim.solvers import _bisect_fixed, _DualCore
 from iseasim.validation import ValidationError
 
 
@@ -379,6 +382,42 @@ class TestSolveBatch:
         with pytest.raises(ValidationError, match="one TDM slot"):
             solve_batch("tdm_mse", *_stack([random_fdm_instance(rng, 2, 2)]))
 
+    @pytest.mark.parametrize("name, arg, value", [
+        ("fdm_md", "noise", np.nan),
+        ("fdm_mse", "noise", 0.0),
+        ("equal", "noise", -0.1),
+        ("fdm_md", "budgets", np.nan),
+        ("fdm_mse", "budgets", 0.0),
+        ("equal", "gains", -1.0),
+        ("channel_inversion", "gains", 0.0),
+        ("fdm_mse", "gains", np.inf),
+        ("fdm_md", "moments", 0.0),
+        ("tdm_mse", "est_vars", np.nan),
+        ("fdm_md", "delta", -1.0),
+        ("fdm_mse", "delta", np.nan),
+    ])
+    def test_bad_input_names_the_argument(self, name, arg, value):
+        rng = np.random.default_rng(27)
+        if name.startswith("tdm"):
+            instances = [random_tdm_instance(rng, 3, homogeneous_vars=True) for _ in range(2)]
+        else:
+            instances = [random_fdm_instance(rng, 3, 2) for _ in range(2)]
+        batch = dict(zip(("gains", "budgets", "moments", "est_vars", "noise", "delta"),
+                         _stack(instances)))
+        batch[arg].reshape(2, -1)[-1, -1] = value  # one entry of the last instance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{arg} must be finite"):
+                solve_batch(name, **batch)
+
+    @pytest.mark.parametrize("name", ["tdm_mse", "equal", "channel_inversion"])
+    def test_zero_noise_is_allowed_where_tdm_instances_allow_it(self, name):
+        rng = np.random.default_rng(28)
+        inst = random_tdm_instance(rng, 3)
+        gains, budgets, moments, est_vars, _, delta = _stack([inst])
+        tx, _, _ = solve_batch(name, gains, budgets, moments, est_vars, 0.0, delta)
+        assert np.all(np.isfinite(tx))
+
 
 def _tdm_loop_reference(inst, kind):
     """Per-instance loop form of the TDM closed forms, one threshold
@@ -472,6 +511,50 @@ def test_solve_batch_rows_equal_each_instance_alone(name, data):
         np.testing.assert_array_equal(tx[i], tx1[0])
         np.testing.assert_array_equal(rx[i], rx1[0])
         np.testing.assert_array_equal(kkt[i], kkt1[0])
+
+
+@st.composite
+def _multiplier_stacks(draw):
+    """(c1, c2, nu^2, budgets) of the per-device multiplier root: B <= 16
+    stacks of K <= 8 devices on N <= 16 subcarriers, with c1 and c2 over 6
+    decades, nu^2 over 3, budgets from 1e-4 to 1e6, and a drawn share of
+    shut-off subcarriers (c1 = c2 = 0).  Hypothesis draws the shapes, the
+    share and the seed of the values."""
+    B, K, N = draw(st.integers(1, 16)), draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c1 = 10.0 ** rng.uniform(-3.0, 3.0, (B, K, N))
+    c2 = 10.0 ** rng.uniform(-3.0, 3.0, (B, K, N))
+    off = rng.random((B, K, N)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    c1[off] = 0.0
+    c2[off] = 0.0
+    return (c1, c2, 10.0 ** rng.uniform(-1.5, 1.5, (B, K, N)),
+            10.0 ** rng.uniform(-4.0, 6.0, (B, K)))
+
+
+def _dual_core(moments, budgets):
+    B, K, N = moments.shape
+    return _DualCore(np.ones((B, K, N)), budgets, moments, np.ones((B, K, N)),
+                     np.ones(B), np.ones((B, N)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(stack=_multiplier_stacks())
+def test_newton_multiplier_matches_the_bisection_reference(stack):
+    c1, c2, moments, budgets = stack
+    core = _dual_core(moments, budgets)
+
+    def used(lam):
+        return core.power_used(core._b_shape(c1, c2, lam))
+
+    lam = core._lambda_for(c1, c2)
+    active = used(np.zeros_like(budgets)) > budgets
+    ref = np.where(active, _bisect_fixed(lambda x: used(x) - budgets, budgets.shape), 0.0)
+    np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=0.0)
+    assert np.all(np.abs(used(lam) - budgets)[active] <= 1e-12 * budgets[active])
+    for i in range(lam.shape[0]):
+        alone = _dual_core(moments[i:i + 1], budgets[i:i + 1])._lambda_for(
+            c1[i:i + 1], c2[i:i + 1])
+        np.testing.assert_array_equal(alone[0], lam[i])
 
 
 class TestBruteForceOracle:
