@@ -6,52 +6,31 @@ estimators, analog multi-access aggregation with optimized transceivers,
 and Monte Carlo accuracy measurement of the full pipeline.
 """
 
-from .channel import (
-    AggregatedFeature,
-    ChannelRealization,
-    ProxyBound,
-    TransceiverDesign,
-    analytic_mse,
-    comm_snr,
-    ideal_average,
-    markov_bound,
-    received_md,
-    sample_channel,
-    transmit_aggregate,
-)
+from .channel import TransceiverDesign
 from .entropy import EntropyReport, cond_entropy_ml, cond_entropy_mmse, entropy_report
-from .estimators import (
-    DeviceProfile,
-    EstimatedFeature,
-    NoisyObservation,
-    ml_estimate,
-    mmse_estimate,
-    observe,
-    rwb_estimate,
-    sensing_snr,
+from .pipeline import (
+    ExperimentConfig,
+    MetricsRecord,
+    export,
+    read_metrics_csv,
+    run_trial,
+    sweep,
 )
-from .pipeline import ExperimentConfig, MetricsRecord, export, run_trial, sweep
 from .prior import (
     DiscriminativePrior,
     GaussianMixturePrior,
-    LabeledFeature,
     discriminative_prior,
-    fit_from_samples,
-    map_classify,
     min_md,
     pairwise_md,
-    responsibilities,
-    sample,
 )
 from .solvers import (
     FdmInstance,
     SolveReport,
     TdmInstance,
-    baseline_channel_inversion,
-    baseline_equal,
     brute_force_oracle,
     fdm_md_optimal,
     fdm_mse_dual,
+    solve,
     tdm_md_optimal,
     tdm_mse_optimal,
 )

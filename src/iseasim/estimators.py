@@ -1,99 +1,30 @@
-"""Sensing observation model and the three local feature estimators.
+"""Sensing observation model and the three local feature estimators, on
+batches of observations.
 
-Each device observes the true feature through additive Gaussian noise and
-produces a local estimate before transmission:
+Each device observes the true feature through additive Gaussian noise
+(`observe_batch`) and produces a local estimate before transmission
+(`estimate_batch`):
 
-* ml   -- identity on the observation; per-element error sigma_k^2.
+* ml   -- identity on the observation; posterior variance sigma_k^2.
 * mmse -- per-element shrinkage toward the true class mean (oracle-label
           estimator; the label is unknown at a real device, so this path
           exists only to trace the lower bound).
 * rwb  -- responsibility-weighted mixture of the per-class shrinkage
           estimates; computable without the label.
 
-All estimators report a per-element posterior variance under their
-moment-matched Gaussian model; transceiver design consumes the average of
-those variances over a calibration set.
+Each estimate comes with its per-element posterior variance under the
+estimator's moment-matched Gaussian model; transceiver design consumes
+the average of those variances over a calibration set.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
-from .prior import GaussianMixturePrior, LabeledFeature, responsibilities_batch
-from .validation import ValidationError, as_vector, check_finite
+from .prior import responsibilities_batch
+from .validation import ValidationError
 
 ESTIMATOR_TAGS = ("ml", "mmse", "rwb")
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Per-device sensing noise variance, power budget and per-element
-    second moments of the transmitted estimate.
-
-    sensing_var may be zero (noiseless sensing); the other fields are
-    strictly positive.
-    """
-
-    sensing_var: float
-    power_budget: float
-    feature_second_moments: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.sensing_var) or self.sensing_var < 0:
-            raise ValidationError(f"sensing_var must be >= 0, got {self.sensing_var}")
-        if not np.isfinite(self.power_budget) or self.power_budget <= 0:
-            raise ValidationError(f"power_budget must be > 0, got {self.power_budget}")
-        moments = as_vector(self.feature_second_moments, "feature_second_moments")
-        check_finite(moments, "feature_second_moments")
-        if np.any(moments <= 0):
-            raise ValidationError("feature_second_moments must be strictly positive")
-        moments.setflags(write=False)
-        object.__setattr__(self, "feature_second_moments", moments)
-        object.__setattr__(self, "sensing_var", float(self.sensing_var))
-        object.__setattr__(self, "power_budget", float(self.power_budget))
-
-
-@dataclass(frozen=True)
-class NoisyObservation:
-    """Observed feature of one device: truth plus sensing noise."""
-
-    device: int
-    x_tilde: np.ndarray
-
-    def __post_init__(self):
-        x = as_vector(self.x_tilde, "x_tilde")
-        check_finite(x, "x_tilde")
-        x.setflags(write=False)
-        object.__setattr__(self, "x_tilde", x)
-        object.__setattr__(self, "device", int(self.device))
-
-
-@dataclass(frozen=True)
-class EstimatedFeature:
-    """Local estimate with its per-element posterior variance."""
-
-    device: int
-    x_hat: np.ndarray
-    estimator_tag: str
-    posterior_var: np.ndarray
-
-    def __post_init__(self):
-        if self.estimator_tag not in ESTIMATOR_TAGS:
-            raise ValidationError(f"unknown estimator tag {self.estimator_tag!r}")
-        x = as_vector(self.x_hat, "x_hat")
-        pv = as_vector(self.posterior_var, "posterior_var", length=x.shape[0])
-        check_finite(x, "x_hat")
-        check_finite(pv, "posterior_var")
-        if np.any(pv < 0):
-            raise ValidationError("posterior_var must be nonnegative")
-        x.setflags(write=False)
-        pv.setflags(write=False)
-        object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "posterior_var", pv)
-        object.__setattr__(self, "device", int(self.device))
 
 
 def observe_batch(X, sensing_var, seed):
@@ -104,20 +35,6 @@ def observe_batch(X, sensing_var, seed):
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
     return X + rng.standard_normal(X.shape) * np.sqrt(sensing_var)
-
-
-def observe(feature, profile: DeviceProfile, seed, device: int = 0) -> NoisyObservation:
-    """One noisy observation of a labeled feature at the given device."""
-    x = feature.x if isinstance(feature, LabeledFeature) else as_vector(feature, "feature")
-    x_tilde = observe_batch(x[None, :], profile.sensing_var, seed)[0]
-    return NoisyObservation(device=device, x_tilde=x_tilde)
-
-
-def ml_estimate(obs: NoisyObservation, profile: DeviceProfile) -> EstimatedFeature:
-    """Maximum-likelihood estimate: the observation itself."""
-    pv = np.full(obs.x_tilde.shape[0], profile.sensing_var)
-    return EstimatedFeature(device=obs.device, x_hat=obs.x_tilde,
-                            estimator_tag="ml", posterior_var=pv)
 
 
 def _mmse_shrink(prior, X_tilde, labels, sensing_var):
@@ -134,24 +51,6 @@ def mmse_posterior_var(prior, sensing_var):
     if sensing_var == 0:
         return np.zeros_like(v)
     return v * sensing_var / (v + sensing_var)
-
-
-def mmse_estimate(obs: NoisyObservation, prior: GaussianMixturePrior,
-                  true_label: int, profile: DeviceProfile) -> EstimatedFeature:
-    """Exact posterior-mean estimate under the true class label.
-
-    The label is not available at a real device; this estimator is an
-    oracle used for lower-bound curves.
-    """
-    true_label = int(true_label)
-    if not 1 <= true_label <= prior.num_classes:
-        raise ValidationError(
-            f"true_label must be in 1..{prior.num_classes}, got {true_label}"
-        )
-    x_hat = _mmse_shrink(prior, obs.x_tilde, true_label, profile.sensing_var)
-    pv = mmse_posterior_var(prior, profile.sensing_var)
-    return EstimatedFeature(device=obs.device, x_hat=x_hat,
-                            estimator_tag="mmse", posterior_var=pv)
 
 
 def rwb_estimate_batch(prior, X_tilde, sensing_var, responsibility_noise_var=None):
@@ -175,20 +74,11 @@ def rwb_estimate_batch(prior, X_tilde, sensing_var, responsibility_noise_var=Non
     return x_hat, post_var
 
 
-def rwb_estimate(obs: NoisyObservation, prior: GaussianMixturePrior,
-                 profile: DeviceProfile,
-                 responsibility_noise_var=None) -> EstimatedFeature:
-    """Label-free Bayesian estimate: responsibilities weight the per-class
-    shrinkage estimates; posterior variance adds the between-class spread."""
-    x_hat, pv = rwb_estimate_batch(prior, obs.x_tilde, profile.sensing_var,
-                                   responsibility_noise_var)
-    return EstimatedFeature(device=obs.device, x_hat=x_hat[0],
-                            estimator_tag="rwb", posterior_var=pv[0])
-
-
 def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None,
                    responsibility_noise_var=None):
     """Vectorized estimator dispatch; returns (X_hat, posterior_var)."""
+    if tag not in ESTIMATOR_TAGS:
+        raise ValidationError(f"unknown estimator tag {tag!r}")
     X_tilde = np.atleast_2d(np.asarray(X_tilde, dtype=np.float64))
     n, M = X_tilde.shape
     if tag == "ml":
@@ -199,55 +89,4 @@ def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None,
         x_hat = _mmse_shrink(prior, X_tilde, labels, sensing_var)
         pv = np.broadcast_to(mmse_posterior_var(prior, sensing_var), (n, M)).copy()
         return x_hat, pv
-    if tag == "rwb":
-        return rwb_estimate_batch(prior, X_tilde, sensing_var,
-                                  responsibility_noise_var)
-    raise ValidationError(f"unknown estimator tag {tag!r}")
-
-
-def analytic_mse(estimator_tag, prior, profile, responsibilities=None):
-    """Closed-form per-element MSE of the selected estimator.
-
-    ml   : sensing_var broadcast over dimensions
-    mmse : v_m * s_k / (v_m + s_k)
-    rwb  : observation-conditional; requires the responsibilities of the
-           observation and adds the between-class term
-           sum_l theta_l * (bar_mu_lm - ddot_mu_m)^2.
-    """
-    M = prior.feature_dim
-    s = profile.sensing_var
-    if estimator_tag == "ml":
-        return np.full(M, s)
-    if estimator_tag == "mmse":
-        return mmse_posterior_var(prior, s)
-    if estimator_tag == "rwb":
-        if responsibilities is None:
-            raise ValidationError("rwb analytic MSE requires responsibilities")
-        theta = as_vector(responsibilities, "responsibilities",
-                          length=prior.num_classes)
-        # bar_mu_lm - ddot_mu_m = (s / (v_m + s)) * (mu_lm - sum_j theta_j mu_jm)
-        factor = s / (prior.variances + s)
-        mu_bar = theta @ prior.means
-        spread = prior.means - mu_bar
-        between = np.sum(theta[:, None] * (factor * spread) ** 2, axis=0)
-        return mmse_posterior_var(prior, s) + between
-    raise ValidationError(f"unknown estimator tag {estimator_tag!r}")
-
-
-def sensing_snr(prior: GaussianMixturePrior, profiles) -> float:
-    """Average receive sensing SNR over devices, in dB:
-    10*log10((1/K) * sum_k mean_m(variances) / sigma_k^2)."""
-    if len(profiles) == 0:
-        raise ValidationError("profiles must be nonempty")
-    mean_var = float(np.mean(prior.variances))
-    ratios = [mean_var / p.sensing_var for p in profiles]
-    return 10.0 * np.log10(np.mean(ratios))
-
-
-def export_estimates_csv(estimates, path) -> None:
-    """Rows `device, estimator, x_1..x_M` for a batch of estimates."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for est in estimates:
-            writer.writerow([est.device, est.estimator_tag]
-                            + [repr(float(v)) for v in est.x_hat])
+    return rwb_estimate_batch(prior, X_tilde, sensing_var, responsibility_noise_var)

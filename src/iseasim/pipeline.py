@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import solvers
-from .channel import md_received, mse_at_rx
-from .estimators import estimate_batch, observe_batch
+from .channel import SCHEMES, md_received, mse_at_rx
+from .estimators import ESTIMATOR_TAGS, estimate_batch, observe_batch
 from .prior import (
     GaussianMixturePrior,
     discriminative_prior,
@@ -47,6 +48,9 @@ _DOM_CALIBRATION = 3
 _EST_VAR_FLOOR = 1e-12
 
 SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K", "N")
+# ExperimentConfig fields that count something and must be integers >= 1.
+_COUNT_FIELDS = ("num_classes", "feature_dim", "num_devices", "num_subcarriers",
+                 "trials", "calibration_samples")
 DECODE_MODES = ("gated", "gain", "mean")
 
 # Default per-trial convergence gate (solver_opts["kkt_tol"]): the refined
@@ -87,16 +91,34 @@ class ExperimentConfig:
     solver_opts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if self.scheme not in ("tdm", "fdm"):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        try:
+            object.__setattr__(self, "comm_snr_db",
+                               tuple(float(v) for v in self.comm_snr_db))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("comm_snr_db must be a list of numbers") from exc
+        reals = [("noise_var", self.noise_var, True),
+                 ("erasure_factor", self.erasure_factor, True),
+                 ("sensing_snr_db", self.sensing_snr_db, False)]
+        for name, value, positive in reals + [("comm_snr_db", v, False)
+                                              for v in self.comm_snr_db]:
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+                    or not math.isfinite(value) or (positive and value <= 0):
+                raise ValidationError(
+                    f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}"
+                )
+        if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.feature_dim > self.num_subcarriers:
             raise ValidationError(
                 f"feature_dim {self.feature_dim} must not exceed "
                 f"num_subcarriers {self.num_subcarriers}"
             )
-        if self.estimator not in ("ml", "mmse", "rwb"):
+        if self.estimator not in ESTIMATOR_TAGS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         if self.solver not in solvers.SOLVER_NAMES:
             raise ValidationError(f"unknown solver {self.solver!r}")
@@ -107,8 +129,6 @@ class ExperimentConfig:
             )
         if self.decode not in DECODE_MODES:
             raise ValidationError(f"decode must be one of {DECODE_MODES}")
-        if self.noise_var <= 0:
-            raise ValidationError("noise_var must be > 0")
         if not 0.0 <= self.exclusion_limit <= 1.0:
             raise ValidationError("exclusion_limit must lie in [0, 1]")
         unknown = sorted(set(self.solver_opts) - {"kkt_tol"})
@@ -127,8 +147,6 @@ class ExperimentConfig:
                     "sensing_vars must list one nonnegative value per device"
                 )
             object.__setattr__(self, "sensing_vars", sv)
-        object.__setattr__(self, "comm_snr_db",
-                           tuple(float(v) for v in self.comm_snr_db))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -543,19 +561,18 @@ def _run_value(ctx: TrialContext, trials: int, workers: int) -> dict:
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def _reduce(value, out: dict, num_classes: int,
-            exclusion_limit: float) -> MetricsRecord:
+def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> MetricsRecord:
     converged = out["converged"]
     n_total = converged.size
     n_excluded = int(n_total - np.count_nonzero(converged))
-    if n_excluded > exclusion_limit * n_total:
+    if n_excluded > config.exclusion_limit * n_total:
         raise NonConvergenceError(
-            f"{n_excluded}/{n_total} trials failed to converge "
-            f"(limit {exclusion_limit:.0%})"
+            f"{variable}={value}: {n_excluded}/{n_total} trials of solver "
+            f"{config.solver!r} failed to converge (limit {config.exclusion_limit:.0%})"
         )
     labels = out["labels"][converged]
     preds = out["preds"][converged]
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    confusion = np.zeros((config.num_classes, config.num_classes), dtype=np.int64)
     np.add.at(confusion, (labels - 1, preds - 1), 1)
     n = labels.size
     acc = float(np.trace(confusion)) / n
@@ -591,8 +608,7 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
     for v_idx, value in enumerate(values):
         ctx = build_context(config, variable, value, v_idx)
         out = _run_value(ctx, config.trials, workers)
-        records.append(_reduce(value, out, config.num_classes,
-                               config.exclusion_limit))
+        records.append(_reduce(config, variable, value, out))
     return records
 
 

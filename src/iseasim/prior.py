@@ -3,12 +3,11 @@ distances and the posterior-optimal classifier.
 
 The feature vector of a labeled target is modeled as a mixture of L
 class-conditional Gaussians sharing one diagonal covariance.  Class labels
-are 1-based throughout (1..L), matching the CSV export format.
+are 1-based throughout (1..L), matching the confusion-count CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -22,10 +21,6 @@ from .validation import (
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Fitted per-dimension variances are clamped below by this floor so that
-# Mahalanobis distances (which divide by the variance) stay finite.
-VARIANCE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,23 +106,6 @@ class GaussianMixturePrior:
 
 
 @dataclass(frozen=True)
-class LabeledFeature:
-    """A ground-truth feature vector together with its 1-based class label."""
-
-    label: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = as_vector(self.x, "x")
-        check_finite(x, "x")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        if int(self.label) < 1:
-            raise ValidationError(f"label must be >= 1, got {self.label}")
-        object.__setattr__(self, "label", int(self.label))
-
-
-@dataclass(frozen=True)
 class DiscriminativePrior:
     """Per-dimension minimum squared class-mean gaps.
 
@@ -175,12 +153,6 @@ def sample_arrays(prior: GaussianMixturePrior, count: int, seed) -> tuple:
     return labels, X
 
 
-def sample(prior: GaussianMixturePrior, count: int, seed) -> list:
-    """Like sample_arrays, but returns a list of LabeledFeature records."""
-    labels, X = sample_arrays(prior, count, seed)
-    return [LabeledFeature(label=int(l), x=X[i]) for i, l in enumerate(labels)]
-
-
 def log_responsibilities_batch(prior, X, sensing_var):
     """Log posterior class probabilities for rows of X under noisy features.
 
@@ -190,9 +162,7 @@ def log_responsibilities_batch(prior, X, sensing_var):
     """
     if sensing_var < 0:
         raise ValidationError(f"sensing_var must be >= 0, got {sensing_var}")
-    X = np.asarray(X, dtype=np.float64)
-    squeeze = X.ndim == 1
-    X = np.atleast_2d(X)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != prior.feature_dim:
         raise ValidationError(
             f"observation length {X.shape[1]} != feature_dim {prior.feature_dim}"
@@ -209,21 +179,16 @@ def log_responsibilities_batch(prior, X, sensing_var):
     peak = logits.max(axis=1, keepdims=True)
     shifted = logits - peak
     lse = peak + np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    out = logits - lse
-    return out[0] if squeeze else out
+    return logits - lse
 
 
 def responsibilities_batch(prior, X, sensing_var):
+    """Posterior class probabilities (n, L) for rows of X; see
+    log_responsibilities_batch."""
     out = np.exp(log_responsibilities_batch(prior, X, sensing_var))
     # Exact renormalization: the rows already sum to 1 up to rounding.
     out /= out.sum(axis=-1, keepdims=True)
     return out
-
-
-def responsibilities(prior: GaussianMixturePrior, observation, sensing_var) -> np.ndarray:
-    """Posterior class probabilities of one noisy observation (length-L)."""
-    observation = as_vector(observation, "observation", length=prior.feature_dim)
-    return responsibilities_batch(prior, observation, sensing_var)
 
 
 def pairwise_md(prior: GaussianMixturePrior, l: int, l2: int) -> float:
@@ -288,13 +253,6 @@ def map_classify_batch(prior, X):
     return np.argmax(scores, axis=1) + 1
 
 
-def map_classify(prior: GaussianMixturePrior, x) -> int:
-    """Most probable class of a clean feature vector; ties pick the
-    smallest class index."""
-    x = as_vector(x, "x", length=prior.feature_dim)
-    return int(map_classify_batch(prior, x)[0])
-
-
 def map_classify_masked(prior, X, observed):
     """Posterior-mode classes using only the observed feature dimensions.
 
@@ -312,65 +270,3 @@ def map_classify_masked(prior, X, observed):
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior.mixing)
     return np.argmax(log_prior[None, :] - 0.5 * quad, axis=1) + 1
-
-
-def fit_from_samples(samples, num_classes: int) -> GaussianMixturePrior:
-    """Moment-matched prior from labeled samples.
-
-    Means are per-class sample means, the shared variances are the pooled
-    within-class per-dimension variances (divisor n - L), and mixing
-    coefficients are empirical class frequencies.  Fitted variances are
-    clamped below by VARIANCE_FLOOR.  Every class 1..num_classes must be
-    present with at least two samples.
-    """
-    if num_classes < 1:
-        raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
-    if isinstance(samples, tuple) and len(samples) == 2:
-        labels, X = samples
-        labels = np.asarray(labels, dtype=np.int64)
-        X = as_matrix(X, "X")
-    else:
-        labels = np.asarray([s.label for s in samples], dtype=np.int64)
-        X = np.asarray([s.x for s in samples], dtype=np.float64)
-        if X.size == 0:
-            raise ValidationError("no samples supplied")
-    n, M = X.shape
-    counts = np.bincount(labels, minlength=num_classes + 1)[1:num_classes + 1]
-    missing = [int(l) for l in range(1, num_classes + 1) if counts[l - 1] == 0]
-    if missing:
-        raise ValidationError(f"no samples for classes {missing}")
-    thin = [int(l) for l in range(1, num_classes + 1) if counts[l - 1] < 2]
-    if thin:
-        raise ValidationError(f"classes {thin} have fewer than 2 samples")
-    if np.any(labels < 1) or np.any(labels > num_classes):
-        raise ValidationError("labels outside 1..num_classes")
-
-    means = np.zeros((num_classes, M))
-    ssq = np.zeros(M)
-    for l in range(1, num_classes + 1):
-        rows = X[labels == l]
-        means[l - 1] = rows.mean(axis=0)
-        ssq += np.sum((rows - means[l - 1]) ** 2, axis=0)
-    variances = np.maximum(ssq / (n - num_classes), VARIANCE_FLOOR)
-    mixing = counts / n
-    return GaussianMixturePrior(means=means, variances=variances, mixing=mixing)
-
-
-def export_samples_csv(samples, path) -> None:
-    """Write labeled samples as CSV rows `label, x_1..x_M`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for s in samples:
-            writer.writerow([s.label] + [repr(float(v)) for v in s.x])
-
-
-def read_samples_csv(path) -> list:
-    """Inverse of export_samples_csv."""
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            out.append(LabeledFeature(label=int(row[0]),
-                                      x=np.array([float(v) for v in row[1:]])))
-    return out

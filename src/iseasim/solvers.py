@@ -231,14 +231,6 @@ def rx_mse_optimal(inst, tx) -> np.ndarray:
     return receive_rule(g, np.asarray(tx, dtype=np.float64), sv, noise)
 
 
-def mse_min_over_rx(inst, tx) -> float:
-    """Aggregation MSE of a transmit design under its MSE-optimal receive
-    coefficients: sum_n [sum shat^2 - (sum hb shat^2)^2 /
-    (sum (hb)^2 shat^2 + noise)]."""
-    g, _, _, sv, noise, _, _ = _arrays(inst)
-    return float(np.sum(mse_min_rx(g, np.asarray(tx, dtype=np.float64), sv, noise)))
-
-
 def design_mse(inst, design: TransceiverDesign) -> float:
     """Aggregation MSE of a design at its own receive coefficients."""
     g, _, _, sv, noise, _, _ = _arrays(inst)
@@ -685,27 +677,6 @@ def _z_consistency(inst: FdmInstance, tx, z) -> float:
 
 
 # ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
-def _baseline(inst, name) -> TransceiverDesign:
-    tx, rx, _ = solve_batch(name, *_stack(inst))
-    return _make_design(inst, tx[0], rx[0])
-
-
-def baseline_equal(inst) -> TransceiverDesign:
-    """Uniform power split: |b_kn| = sqrt(P_k / (N nu_kn^2)), receive
-    coefficients per the MSE-minimizing rule."""
-    return _baseline(inst, "equal")
-
-
-def baseline_channel_inversion(inst) -> TransceiverDesign:
-    """Channel inversion capped by the uniform split:
-    |b_kn| = min(sqrt(P_k / (N nu_kn^2)), 1/h_kn)."""
-    return _baseline(inst, "channel_inversion")
-
-
-# ---------------------------------------------------------------------------
 # brute-force validation oracle
 # ---------------------------------------------------------------------------
 
@@ -918,14 +889,17 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 def solve(inst, solver: str) -> SolveReport:
-    """Run a solver by name and return a SolveReport (baselines are
-    wrapped with their realized MSE as the objective)."""
+    """Run any of SOLVER_NAMES on one instance and return a SolveReport.
+    The baselines (the equal power split, and channel inversion capped by
+    it, both under the MSE-optimal receive rule) report their realized MSE
+    as the objective."""
     designed = {"tdm_mse": tdm_mse_optimal, "tdm_md": tdm_md_optimal,
                 "fdm_mse": fdm_mse_dual, "fdm_md": fdm_md_optimal}
     if solver in designed:
         return designed[solver](inst)
     if solver not in SOLVER_NAMES:
         raise ValidationError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
-    design = _baseline(inst, solver)
+    tx, rx, _ = solve_batch(solver, *_stack(inst))
+    design = _make_design(inst, tx[0], rx[0])
     return SolveReport(design=design, objective=design_mse(inst, design),
                        iterations=0, kkt_residual=0.0, converged=True, extras={})

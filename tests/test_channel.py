@@ -1,57 +1,24 @@
-"""Tests for the multi-access transmission and aggregation model."""
+"""Tests for the transceiver design, the aggregation kernels and the
+channel draws and budgets the chain feeds them."""
 
 import numpy as np
 import pytest
 
+from iseasim import pipeline
 from iseasim.channel import (
-    AggregatedFeature,
-    ChannelRealization,
-    ProxyBound,
     TransceiverDesign,
-    analytic_mse,
-    comm_snr,
-    effective_gains,
-    export_channel_csv,
-    export_design_csv,
-    ideal_average,
-    markov_bound,
-    received_md,
-    sample_channel,
-    transmit_aggregate,
+    md_received,
+    mse_at_rx,
+    mse_min_rx,
 )
-from iseasim.estimators import DeviceProfile
 from iseasim.validation import ValidationError
 
 
-def make_channel(gains, noise_var=0.1, scheme="fdm"):
-    return ChannelRealization(gains=np.asarray(gains, dtype=float),
-                              noise_var=noise_var, scheme=scheme)
-
-
-def make_design(tx, rx, scheme="fdm", budgets=None):
-    tx = np.asarray(tx, dtype=float)
-    K, N = tx.shape
-    moments = np.ones((K, N))
-    if budgets is None:
-        budgets = np.full(K, max(float(np.max(tx * tx)) * N, 1.0) + 1.0)
-    return TransceiverDesign(tx=tx, rx=np.asarray(rx, dtype=float),
-                             scheme=scheme, power_budgets=budgets,
-                             moments=moments)
-
-
-class TestChannelRealization:
-    def test_tdm_columns_must_match(self):
-        with pytest.raises(ValidationError):
-            make_channel([[1.0, 2.0]], scheme="tdm")
-        make_channel([[1.5, 1.5]], scheme="tdm")
-
-    def test_negative_gains_rejected(self):
-        with pytest.raises(ValidationError):
-            make_channel([[-1.0]])
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValidationError):
-            make_channel([[1.0]], scheme="ofdm")
+def per_subcarrier_mse(gains, tx, rx, est_vars, noise):
+    """mse_at_rx of each subcarrier alone: (K, N) columns as N one-column
+    instances."""
+    return mse_at_rx(gains.T[:, :, None], tx.T[:, :, None], rx[:, None],
+                     est_vars.T[:, :, None], noise)
 
 
 class TestTransceiverDesign:
@@ -74,235 +41,120 @@ class TestTransceiverDesign:
                           power_budgets=[1.0], moments=np.ones((1, 1)))
 
 
-class TestIdealAverage:
-    def test_single_device_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(ideal_average(x[None, :]), x)
-
-    def test_opposite_vectors_cancel(self):
-        X = np.array([[1.0, -4.0], [-1.0, 4.0]])
-        np.testing.assert_array_equal(ideal_average(X), 0.0)
-
-    def test_matches_summation_oracle(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(3, 5))
-        expected = np.array([sum(X[k, m] for k in range(3)) / 3.0
-                             for m in range(5)])
-        np.testing.assert_allclose(ideal_average(X), expected, atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        from iseasim.estimators import EstimatedFeature
-        a = EstimatedFeature(device=0, x_hat=[1.0], estimator_tag="ml",
-                             posterior_var=[0.1])
-        b = EstimatedFeature(device=1, x_hat=[1.0, 2.0], estimator_tag="ml",
-                             posterior_var=[0.1, 0.1])
-        with pytest.raises(ValidationError):
-            ideal_average([a, b])
-
-
-class TestTransmitAggregate:
-    def test_perfect_alignment_reproduces_average(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(2, 3))
-        channel = make_channel(np.full((2, 3), 2.0), noise_var=0.0)
-        # a * h * b = 1/K  with  a = 1, h = 2  ->  b = 1/(K h) = 0.25
-        design = make_design(np.full((2, 3), 0.25), np.ones(3))
-        out = transmit_aggregate(X, channel, design, seed=2)
-        np.testing.assert_allclose(out.y_hat, out.y_ideal, atol=1e-12)
-        np.testing.assert_allclose(out.y_ideal, X.mean(axis=0), atol=1e-12)
-
-    def test_zero_transmit_is_pure_noise(self):
-        channel = make_channel(np.ones((2, 4)), noise_var=0.5)
-        design = make_design(np.zeros((2, 4)), np.ones(4))
-        X = np.ones((2, 4))
-        draws = np.array([transmit_aggregate(X, channel, design, seed=s).y_hat
-                          for s in range(2000)])
-        assert abs(draws.mean()) < 3 * np.sqrt(0.5 / draws.size)
-        assert abs(draws.var() - 0.5) < 0.05
-
-    def test_mean_matches_signal_term(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(3, 2))
-        channel = make_channel(rng.uniform(0.5, 2.0, (3, 2)), noise_var=0.2)
-        design = make_design(rng.uniform(0.1, 0.4, (3, 2)),
-                             rng.uniform(0.5, 1.5, 2))
-        draws = np.array([transmit_aggregate(X, channel, design, seed=s).y_hat
-                          for s in range(20_000)])
-        signal = np.array([
-            design.rx[n] * np.sum(channel.gains[:, n] * design.tx[:, n] * X[:, n])
-            for n in range(2)])
-        se = np.sqrt(design.rx ** 2 * 0.2 / draws.shape[0])
-        np.testing.assert_array_less(np.abs(draws.mean(axis=0) - signal), 3 * se)
-
-    def test_infeasible_design_rejected(self):
-        channel = make_channel(np.ones((1, 1)))
-        design = make_design([[1.0]], [1.0])
-        object.__setattr__(design, "power_budgets", np.array([0.5]))
-        with pytest.raises(ValidationError, match="device 1"):
-            transmit_aggregate(np.ones((1, 1)), channel, design, seed=0)
-
-
 class TestAnalyticMse:
     def test_exact_alignment_is_zero(self):
-        channel = make_channel(np.full((3, 2), 2.0), noise_var=0.0)
-        design = make_design(np.full((3, 2), 0.5), np.ones(2))
-        out = analytic_mse(channel, design, np.ones((3, 2)))
+        out = per_subcarrier_mse(np.full((3, 2), 2.0), np.full((3, 2), 0.5),
+                                 np.ones(2), np.ones((3, 2)), 0.0)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_zero_design_gives_total_variance(self):
-        channel = make_channel(np.ones((3, 2)), noise_var=0.4)
-        design = make_design(np.zeros((3, 2)), np.zeros(2))
         sigma_hat = np.arange(1.0, 7.0).reshape(3, 2)
-        np.testing.assert_allclose(analytic_mse(channel, design, sigma_hat),
-                                   sigma_hat.sum(axis=0))
+        np.testing.assert_allclose(
+            per_subcarrier_mse(np.ones((3, 2)), np.zeros((3, 2)), np.zeros(2),
+                               sigma_hat, 0.4),
+            sigma_hat.sum(axis=0))
+        np.testing.assert_allclose(
+            mse_min_rx(np.ones((3, 2)), np.zeros((3, 2)), sigma_hat, 0.4),
+            sigma_hat.sum(axis=0))
 
     def test_monte_carlo_oracle(self):
         # statistical-error oracle: draw device signals independently with
         # the declared variances plus receiver noise, compare to the sum
         rng = np.random.default_rng(4)
         K, N = 3, 2
-        channel = make_channel(rng.uniform(0.4, 2.0, (K, N)), noise_var=0.3)
-        design = make_design(rng.uniform(0.05, 0.5, (K, N)),
-                             rng.uniform(0.4, 1.2, N))
+        gains = rng.uniform(0.4, 2.0, (K, N))
+        tx = rng.uniform(0.05, 0.5, (K, N))
+        rx = rng.uniform(0.4, 1.2, N)
         sigma_hat = rng.uniform(0.3, 1.5, (K, N))
+        noise = 0.3
         n = 400_000
         x = rng.normal(size=(n, K, N)) * np.sqrt(sigma_hat)
-        w = rng.normal(size=(n, N)) * np.sqrt(channel.noise_var)
-        y = design.rx * (np.sum(channel.gains * design.tx * x, axis=1) + w)
-        err = y - x.sum(axis=1)
-        emp = np.mean(err ** 2, axis=0)
-        np.testing.assert_allclose(emp, analytic_mse(channel, design, sigma_hat),
-                                   rtol=0.01)
+        w = rng.normal(size=(n, N)) * np.sqrt(noise)
+        y = rx * (np.sum(gains * tx * x, axis=1) + w)
+        emp = np.mean((y - x.sum(axis=1)) ** 2, axis=0)
+        np.testing.assert_allclose(
+            emp, per_subcarrier_mse(gains, tx, rx, sigma_hat, noise), rtol=0.01)
 
     def test_symbolic_expansion_spot_check(self):
         rng = np.random.default_rng(5)
         K, N = 2, 3
-        channel = make_channel(rng.uniform(0.4, 2.0, (K, N)), noise_var=0.7)
-        design = make_design(rng.uniform(0.05, 0.5, (K, N)),
-                             rng.uniform(0.4, 1.2, N))
+        gains = rng.uniform(0.4, 2.0, (K, N))
+        tx = rng.uniform(0.05, 0.5, (K, N))
+        rx = rng.uniform(0.4, 1.2, N)
         sigma_hat = rng.uniform(0.3, 1.5, (K, N))
-        out = analytic_mse(channel, design, sigma_hat)
+        out = per_subcarrier_mse(gains, tx, rx, sigma_hat, 0.7)
         for n in range(N):
-            g = design.rx[n] * channel.gains[:, n] * design.tx[:, n]
+            g = rx[n] * gains[:, n] * tx[:, n]
             expanded = np.sum(g * g * sigma_hat[:, n]) \
                 - 2 * np.sum(g * sigma_hat[:, n]) + np.sum(sigma_hat[:, n]) \
-                + design.rx[n] ** 2 * channel.noise_var
+                + rx[n] ** 2 * 0.7
             assert out[n] == pytest.approx(expanded, rel=1e-12)
+        assert mse_at_rx(gains, tx, rx, sigma_hat, 0.7) \
+            == pytest.approx(out.sum(), rel=1e-12)
 
 
 class TestReceivedMd:
     def test_zero_transmit_is_zero(self):
-        channel = make_channel(np.ones((2, 2)))
-        design = make_design(np.zeros((2, 2)), np.ones(2))
         np.testing.assert_array_equal(
-            received_md(channel, design, np.ones((2, 2)), [1.0, 1.0]), 0.0)
+            md_received(np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), 0.1,
+                        np.array([1.0, 1.0])), 0.0)
 
     def test_unit_case(self):
-        channel = make_channel(np.ones((1, 1)), noise_var=0.0)
-        design = make_design(np.ones((1, 1)), [1.0])
-        out = received_md(channel, design, np.ones((1, 1)), [1.0])
+        out = md_received(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), 0.0,
+                          np.array([1.0]))
         assert out[0] == pytest.approx(1.0)
-
-    def test_rx_invariance_exact(self):
-        rng = np.random.default_rng(6)
-        channel = make_channel(rng.uniform(0.5, 2.0, (3, 2)), noise_var=0.2)
-        sigma_hat = rng.uniform(0.2, 1.0, (3, 2))
-        tx = rng.uniform(0.05, 0.4, (3, 2))
-        a = received_md(channel, make_design(tx, [1.0, 1.0]), sigma_hat, [0.5, 2.0])
-        b = received_md(channel, make_design(tx, [7.0, 0.1]), sigma_hat, [0.5, 2.0])
-        np.testing.assert_array_equal(a, b)
 
     def test_monotone_under_uniform_power_scaling(self):
         rng = np.random.default_rng(7)
-        channel = make_channel(rng.uniform(0.5, 2.0, (3, 2)), noise_var=0.3)
+        gains = rng.uniform(0.5, 2.0, (3, 2))
         sigma_hat = rng.uniform(0.2, 1.0, (3, 2))
         tx = rng.uniform(0.05, 0.2, (3, 2))
-        prev = received_md(channel, make_design(tx, [1.0, 1.0]), sigma_hat,
-                           [1.0, 1.0])
+        delta = np.ones(2)
+        prev = md_received(gains, tx, sigma_hat, 0.3, delta)
         for c in (1.5, 2.0, 4.0):
-            cur = received_md(channel, make_design(c * tx, [1.0, 1.0]),
-                              sigma_hat, [1.0, 1.0])
+            cur = md_received(gains, c * tx, sigma_hat, 0.3, delta)
             assert np.all(cur >= prev - 1e-12)
             prev = cur
 
 
-class TestMarkovBound:
-    def test_zero_error_returns_ceiling(self):
-        assert markov_bound(ProxyBound(a0=0.9, margin=2.0), 0.0) == 0.9
-
-    def test_boundary_is_zero(self):
-        assert markov_bound(ProxyBound(a0=0.9, margin=2.0), 4.0) == 0.0
-
-    def test_linear_midpoint(self):
-        assert markov_bound(ProxyBound(a0=0.9, margin=2.0), 2.0) \
-            == pytest.approx(0.45)
-
-    def test_clamped_below_zero(self):
-        assert markov_bound(ProxyBound(a0=0.9, margin=1.0), 5.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ProxyBound(a0=1.5, margin=1.0)
-        with pytest.raises(ValidationError):
-            ProxyBound(a0=0.5, margin=0.0)
+def draw_gains(scheme, trial_indices, **overrides):
+    """Channel gains (T, K, N) of the pipeline's per-trial draws."""
+    cfg = pipeline.ExperimentConfig(scheme=scheme, solver="equal", comm_snr_db=(10.0,),
+                                    calibration_samples=100, **overrides)
+    ctx = pipeline.build_context(cfg, "comm_snr", 10.0, 0)
+    return pipeline._draw_trials(ctx, trial_indices)[3]
 
 
 class TestSampleChannel:
     def test_tdm_columns_identical(self):
-        ch = sample_channel(4, 6, "tdm", seed=8)
-        np.testing.assert_array_equal(ch.gains, np.tile(ch.gains[:, :1], (1, 6)))
+        gains = draw_gains("tdm", range(20), num_subcarriers=6)
+        np.testing.assert_array_equal(gains, np.tile(gains[:, :, :1], (1, 1, 6)))
 
     def test_second_moment_matches_scale(self):
-        ch = sample_channel(1, 100_000, "fdm", scale=2.5, seed=9)
-        emp = np.mean(ch.gains ** 2)
-        se = 2.5 * np.sqrt(2.0 / ch.gains.size)
-        assert abs(emp - 2.5) < 3 * se
+        # unit-scale Rayleigh magnitudes: gain^2 is exponential with mean 1
+        gains = draw_gains("fdm", range(4000), num_devices=5, num_subcarriers=5)
+        emp = np.mean(gains ** 2)
+        assert abs(emp - 1.0) < 3.0 / np.sqrt(gains.size)
 
     def test_reproducible(self):
-        a = sample_channel(3, 4, "fdm", seed=10)
-        b = sample_channel(3, 4, "fdm", seed=10)
-        np.testing.assert_array_equal(a.gains, b.gains)
+        a = draw_gains("fdm", range(6))
+        np.testing.assert_array_equal(a, draw_gains("fdm", range(6)))
+        # a trial's draw does not depend on which trials share its batch
+        np.testing.assert_array_equal(a[4:5], draw_gains("fdm", [4]))
 
 
 class TestCommSnr:
     def test_ten_db_example(self):
-        profile = DeviceProfile(sensing_var=1.0, power_budget=1.0,
-                                feature_second_moments=[1.0])
-        channel = make_channel(np.ones((1, 1)), noise_var=0.1)
-        assert comm_snr(profile, channel) == pytest.approx(10.0)
+        cfg = pipeline.ExperimentConfig(noise_var=0.1)
+        np.testing.assert_allclose(pipeline.power_budgets(cfg, 10.0), 1.0, rtol=1e-15)
 
     def test_zero_db(self):
-        channel = make_channel(np.ones((1, 1)), noise_var=0.7)
-        assert comm_snr(0.7, channel) == pytest.approx(0.0)
+        cfg = pipeline.ExperimentConfig(noise_var=0.7)
+        np.testing.assert_array_equal(pipeline.power_budgets(cfg, 0.0), 0.7)
 
     def test_doubling_power_adds_three_db(self):
-        channel = make_channel(np.ones((1, 1)), noise_var=0.25)
-        assert comm_snr(2.0, channel) - comm_snr(1.0, channel) \
-            == pytest.approx(10 * np.log10(2.0))
-
-
-class TestEffectiveGains:
-    def test_unit_alignment_gives_device_count(self):
-        channel = make_channel(np.full((3, 2), 2.0), noise_var=0.1)
-        design = make_design(np.full((3, 2), 0.5), np.ones(2))
-        np.testing.assert_allclose(effective_gains(channel, design), 3.0)
-
-
-class TestCsvExports:
-    def test_channel_and_design_files(self, tmp_path):
-        channel = sample_channel(2, 3, "fdm", seed=11)
-        design = make_design(np.full((2, 3), 0.1), np.ones(3))
-        cpath = tmp_path / "channel.csv"
-        dpath = tmp_path / "design.csv"
-        export_channel_csv(channel, cpath)
-        export_design_csv(design, dpath)
-        lines = cpath.read_text().strip().split("\n")
-        assert lines[0] == "device,slot,gain"
-        assert len(lines) == 1 + 2 * 3
-        dlines = dpath.read_text().strip().split("\n")
-        assert dlines[0] == "kind,device,slot,value"
-        assert len(dlines) == 1 + 2 * 3 + 3
-
-    def test_aggregated_feature_validation(self):
-        with pytest.raises(ValidationError):
-            AggregatedFeature(y_hat=[1.0, np.inf], y_ideal=[0.0, 0.0])
+        cfg = pipeline.ExperimentConfig(noise_var=0.25, num_devices=4)
+        budgets = pipeline.power_budgets(cfg, 5.0)
+        assert budgets.shape == (4,)
+        np.testing.assert_allclose(pipeline.power_budgets(cfg, 5.0 + 10 * np.log10(2.0)),
+                                   2 * budgets, rtol=1e-12)

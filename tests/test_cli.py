@@ -72,6 +72,14 @@ class TestAccuracySweep:
         assert main(["accuracy-sweep", "--config", cfg,
                      "--output", str(tmp_path / "o.csv")]) == 2
 
+    def test_nonpositive_erasure_factor_is_validation_error(self, tmp_path, capsys):
+        # every element would be erased and the run would report the
+        # prior-argmax accuracy without a word
+        cfg = accuracy_config(tmp_path, erasure_factor=-1)
+        assert main(["accuracy-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "o.csv")]) == 2
+        assert "erasure_factor" in capsys.readouterr().err
+
     def test_unknown_solver_opts_are_validation_error(self, tmp_path, capsys):
         cfg = accuracy_config(tmp_path, solver_opts={"max_iters": 150})
         assert main(["accuracy-sweep", "--config", cfg,

@@ -3,51 +3,26 @@
 import numpy as np
 import pytest
 
-from iseasim.estimators import (
-    DeviceProfile,
-    analytic_mse,
-    estimate_batch,
-    ml_estimate,
-    mmse_estimate,
-    observe,
-    observe_batch,
-    rwb_estimate,
-    sensing_snr,
-)
-from iseasim.prior import GaussianMixturePrior, responsibilities, sample_arrays
+from iseasim.estimators import estimate_batch, observe_batch, rwb_estimate_batch
+from iseasim.prior import GaussianMixturePrior, responsibilities_batch, sample_arrays
 from iseasim.validation import ValidationError
 
 from test_prior import random_prior
 
 
-def make_profile(svar=0.5, M=4):
-    return DeviceProfile(sensing_var=svar, power_budget=1.0,
-                         feature_second_moments=np.ones(M))
-
-
-class TestDeviceProfile:
-    def test_positive_fields_required(self):
-        with pytest.raises(ValidationError):
-            DeviceProfile(sensing_var=1.0, power_budget=0.0,
-                          feature_second_moments=[1.0])
-        with pytest.raises(ValidationError):
-            DeviceProfile(sensing_var=1.0, power_budget=1.0,
-                          feature_second_moments=[0.0])
-        with pytest.raises(ValidationError):
-            DeviceProfile(sensing_var=-0.1, power_budget=1.0,
-                          feature_second_moments=[1.0])
-
-    def test_zero_sensing_var_allowed(self):
-        # noiseless sensing is a legitimate limit case
-        assert make_profile(0.0).sensing_var == 0.0
+def estimate_one(tag, prior, x_tilde, svar, label=None, **kwargs):
+    """(x_hat, posterior_var) of one observation through estimate_batch."""
+    labels = None if label is None else [label]
+    x_hat, pv = estimate_batch(tag, prior, np.asarray(x_tilde, dtype=float)[None, :],
+                               svar, labels=labels, **kwargs)
+    return x_hat[0], pv[0]
 
 
 class TestObserve:
     def test_noiseless(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=4)
-        obs = observe(x, make_profile(0.0), seed=1)
-        np.testing.assert_array_equal(obs.x_tilde, x)
+        X = rng.normal(size=(3, 4))
+        np.testing.assert_array_equal(observe_batch(X, 0.0, seed=1), X)
 
     def test_noise_variance_oracle(self):
         # sample-variance oracle over 1e5 draws
@@ -59,24 +34,24 @@ class TestObserve:
         np.testing.assert_array_less(np.abs(emp - svar), tol)
 
     def test_deterministic_per_seed(self):
-        x = np.arange(4.0)
-        a = observe(x, make_profile(), seed=5)
-        b = observe(x, make_profile(), seed=5)
-        np.testing.assert_array_equal(a.x_tilde, b.x_tilde)
+        X = np.arange(8.0).reshape(2, 4)
+        np.testing.assert_array_equal(observe_batch(X, 0.5, seed=5),
+                                      observe_batch(X, 0.5, seed=5))
 
 
 class TestMlEstimate:
     def test_identity_map(self):
         rng = np.random.default_rng(1)
-        obs = observe(rng.normal(size=4), make_profile(), seed=3)
-        est = ml_estimate(obs, make_profile())
-        np.testing.assert_array_equal(est.x_hat, obs.x_tilde)
-        assert est.estimator_tag == "ml"
+        prior = random_prior(rng)
+        X_tilde = observe_batch(rng.normal(size=(5, 4)), 0.5, seed=3)
+        X_hat, _ = estimate_batch("ml", prior, X_tilde, 0.5)
+        np.testing.assert_array_equal(X_hat, X_tilde)
 
     def test_posterior_var_constant(self):
-        obs = observe(np.zeros(4), make_profile(0.7), seed=4)
-        est = ml_estimate(obs, make_profile(0.7))
-        np.testing.assert_array_equal(est.posterior_var, 0.7)
+        prior = random_prior(np.random.default_rng(1))
+        _, pv = estimate_batch("ml", prior, observe_batch(np.zeros((3, 4)), 0.7, seed=4),
+                               0.7)
+        np.testing.assert_array_equal(pv, 0.7)
 
     def test_empirical_mse_matches_sensing_var(self):
         rng = np.random.default_rng(2)
@@ -92,19 +67,16 @@ class TestMmseEstimate:
     def test_no_shrinkage_without_noise(self):
         rng = np.random.default_rng(3)
         prior = random_prior(rng)
-        obs = observe(prior.means[0], make_profile(0.0), seed=8)
-        est = mmse_estimate(obs, prior, 1, make_profile(0.0))
-        np.testing.assert_array_equal(est.x_hat, obs.x_tilde)
+        x_tilde = observe_batch(prior.means[0], 0.0, seed=8)
+        x_hat, pv = estimate_one("mmse", prior, x_tilde, 0.0, label=1)
+        np.testing.assert_array_equal(x_hat, x_tilde)
+        np.testing.assert_array_equal(pv, 0.0)
 
     def test_unit_variance_example(self):
         prior = GaussianMixturePrior(means=[[0.0]], variances=[1.0], mixing=[1.0])
-        profile = DeviceProfile(sensing_var=1.0, power_budget=1.0,
-                                feature_second_moments=[1.0])
-        from iseasim.estimators import NoisyObservation
-        est = mmse_estimate(NoisyObservation(device=0, x_tilde=[2.0]),
-                            prior, 1, profile)
-        assert est.x_hat[0] == pytest.approx(1.0)
-        assert est.posterior_var[0] == pytest.approx(0.5)
+        x_hat, pv = estimate_one("mmse", prior, [2.0], 1.0, label=1)
+        assert x_hat[0] == pytest.approx(1.0)
+        assert pv[0] == pytest.approx(0.5)
 
     def test_empirical_mse_matches_closed_form(self):
         rng = np.random.default_rng(4)
@@ -117,23 +89,14 @@ class TestMmseEstimate:
         expected = prior.variances * svar / (prior.variances + svar)
         np.testing.assert_allclose(emp, expected, rtol=0.02)
 
-    def test_invalid_label_rejected(self):
-        rng = np.random.default_rng(5)
-        prior = random_prior(rng)
-        obs = observe(np.zeros(4), make_profile(), seed=11)
-        with pytest.raises(ValidationError):
-            mmse_estimate(obs, prior, 0, make_profile())
-
     def test_approaches_ml_for_flat_prior(self):
         # non-informative prior limit: variances -> infinity
         prior = GaussianMixturePrior(means=np.zeros((1, 3)),
                                      variances=np.full(3, 1e10),
                                      mixing=[1.0])
-        profile = DeviceProfile(sensing_var=1.0, power_budget=1.0,
-                                feature_second_moments=np.ones(3))
-        obs = observe(np.array([5.0, -3.0, 2.0]), profile, seed=12)
-        est = mmse_estimate(obs, prior, 1, profile)
-        np.testing.assert_allclose(est.x_hat, obs.x_tilde, rtol=1e-4)
+        x_tilde = observe_batch(np.array([5.0, -3.0, 2.0]), 1.0, seed=12)
+        x_hat, _ = estimate_one("mmse", prior, x_tilde, 1.0, label=1)
+        np.testing.assert_allclose(x_hat, x_tilde, rtol=1e-4)
 
 
 class TestRwbEstimate:
@@ -142,21 +105,18 @@ class TestRwbEstimate:
         prior = GaussianMixturePrior(means=rng.normal(size=(1, 4)),
                                      variances=rng.uniform(0.5, 2.0, 4),
                                      mixing=[1.0])
-        profile = make_profile(0.9)
-        obs = observe(prior.means[0], profile, seed=13)
-        rwb = rwb_estimate(obs, prior, profile)
-        mmse = mmse_estimate(obs, prior, 1, profile)
-        np.testing.assert_allclose(rwb.x_hat, mmse.x_hat, atol=1e-12)
-        np.testing.assert_allclose(rwb.posterior_var, mmse.posterior_var,
-                                   atol=1e-12)
+        x_tilde = observe_batch(prior.means[0], 0.9, seed=13)
+        rwb = estimate_one("rwb", prior, x_tilde, 0.9)
+        mmse = estimate_one("mmse", prior, x_tilde, 0.9, label=1)
+        np.testing.assert_allclose(rwb[0], mmse[0], atol=1e-12)
+        np.testing.assert_allclose(rwb[1], mmse[1], atol=1e-12)
 
     def test_vanishing_noise_recovers_observation(self):
         rng = np.random.default_rng(7)
         prior = random_prior(rng)
-        profile = make_profile(1e-10)
-        obs = observe(prior.means[2], profile, seed=14)
-        est = rwb_estimate(obs, prior, profile)
-        assert np.max(np.abs(est.x_hat - obs.x_tilde)) < 1e-6
+        x_tilde = observe_batch(prior.means[2], 1e-10, seed=14)
+        x_hat, _ = estimate_one("rwb", prior, x_tilde, 1e-10)
+        assert np.max(np.abs(x_hat - x_tilde)) < 1e-6
 
     def test_formula_composition_oracle(self):
         # straight-line evaluation: responsibilities, then the per-class
@@ -164,95 +124,88 @@ class TestRwbEstimate:
         rng = np.random.default_rng(8)
         prior = random_prior(rng)
         svar = 0.45
-        profile = make_profile(svar)
-        for _ in range(10):
-            x_tilde = rng.normal(0.0, 2.0, prior.feature_dim)
-            theta = responsibilities(prior, x_tilde, svar)
+        X_tilde = rng.normal(0.0, 2.0, (10, prior.feature_dim))
+        theta = responsibilities_batch(prior, X_tilde, svar)
+        X_hat, _ = estimate_batch("rwb", prior, X_tilde, svar)
+        for i in range(X_tilde.shape[0]):
             expected = np.zeros(prior.feature_dim)
             for l in range(prior.num_classes):
                 for m in range(prior.feature_dim):
                     v = prior.variances[m]
-                    bar_mu = (v * x_tilde[m] + svar * prior.means[l, m]) / (v + svar)
-                    expected[m] += theta[l] * bar_mu
-            from iseasim.estimators import NoisyObservation
-            est = rwb_estimate(NoisyObservation(device=0, x_tilde=x_tilde),
-                               prior, profile)
-            np.testing.assert_allclose(est.x_hat, expected, atol=1e-10)
+                    bar_mu = (v * X_tilde[i, m] + svar * prior.means[l, m]) / (v + svar)
+                    expected[m] += theta[i, l] * bar_mu
+            np.testing.assert_allclose(X_hat[i], expected, atol=1e-10)
 
     def test_convex_hull_property(self):
         rng = np.random.default_rng(9)
         prior = random_prior(rng)
-        profile = make_profile(1.3)
-        for _ in range(20):
-            obs = observe(rng.normal(0.0, 2.0, 4), profile, seed=int(rng.integers(1e6)))
-            est = rwb_estimate(obs, prior, profile)
-            v = prior.variances
-            shrunk = (v * obs.x_tilde + profile.sensing_var * prior.means) \
-                / (v + profile.sensing_var)
-            assert np.all(est.x_hat >= shrunk.min(axis=0) - 1e-12)
-            assert np.all(est.x_hat <= shrunk.max(axis=0) + 1e-12)
+        svar = 1.3
+        X_tilde = observe_batch(rng.normal(0.0, 2.0, (20, 4)), svar, seed=15)
+        X_hat, _ = estimate_batch("rwb", prior, X_tilde, svar)
+        v = prior.variances
+        shrunk = (v * X_tilde[:, None, :] + svar * prior.means) / (v + svar)
+        assert np.all(X_hat >= shrunk.min(axis=1) - 1e-12)
+        assert np.all(X_hat <= shrunk.max(axis=1) + 1e-12)
 
     def test_separate_responsibility_noise_var(self):
         rng = np.random.default_rng(10)
         prior = random_prior(rng)
-        profile = make_profile(0.5)
-        obs = observe(prior.means[0], profile, seed=15)
-        a = rwb_estimate(obs, prior, profile)
-        b = rwb_estimate(obs, prior, profile, responsibility_noise_var=5.0)
-        assert np.any(a.x_hat != b.x_hat)
+        x_tilde = observe_batch(prior.means[0], 0.5, seed=15)
+        a, _ = estimate_one("rwb", prior, x_tilde, 0.5)
+        b, _ = estimate_one("rwb", prior, x_tilde, 0.5, responsibility_noise_var=5.0)
+        assert np.any(a != b)
 
 
 class TestAnalyticMse:
+    """The estimators' posterior variances: the closed-form per-element
+    errors that calibration averages for the solvers."""
+
     def test_ml_broadcasts_sensing_var(self):
         prior = random_prior(np.random.default_rng(11))
-        out = analytic_mse("ml", prior, make_profile(0.3))
-        np.testing.assert_array_equal(out, 0.3)
+        _, pv = estimate_one("ml", prior, np.zeros(prior.feature_dim), 0.3)
+        np.testing.assert_array_equal(pv, 0.3)
 
     def test_mmse_unit_case(self):
         prior = GaussianMixturePrior(means=[[0.0]], variances=[1.0], mixing=[1.0])
-        profile = DeviceProfile(sensing_var=1.0, power_budget=1.0,
-                                feature_second_moments=[1.0])
-        assert analytic_mse("mmse", prior, profile)[0] == pytest.approx(0.5)
+        assert estimate_one("mmse", prior, [0.0], 1.0, label=1)[1][0] \
+            == pytest.approx(0.5)
 
     def test_rwb_one_hot_equals_mmse(self):
-        prior = random_prior(np.random.default_rng(12))
-        profile = make_profile(0.8)
-        theta = np.zeros(prior.num_classes)
-        theta[2] = 1.0
+        # an observation at a far-separated class mean has one-hot
+        # responsibilities, so the between-class term vanishes
+        prior = GaussianMixturePrior(means=np.eye(3) * 1e3, variances=np.ones(3),
+                                     mixing=np.full(3, 1 / 3))
+        x_tilde = prior.means[2]
+        assert responsibilities_batch(prior, x_tilde[None, :], 0.8)[0, 2] == 1.0
         np.testing.assert_allclose(
-            analytic_mse("rwb", prior, profile, responsibilities=theta),
-            analytic_mse("mmse", prior, profile))
-
-    def test_rwb_requires_responsibilities(self):
-        prior = random_prior(np.random.default_rng(13))
-        with pytest.raises(ValidationError):
-            analytic_mse("rwb", prior, make_profile())
+            estimate_one("rwb", prior, x_tilde, 0.8)[1],
+            estimate_one("mmse", prior, x_tilde, 0.8, label=3)[1])
 
     def test_ml_dominates_mmse(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             prior = random_prior(rng)
-            profile = make_profile(float(rng.uniform(0.01, 10.0)))
-            gap = analytic_mse("ml", prior, profile) \
-                - analytic_mse("mmse", prior, profile)
+            svar = float(rng.uniform(0.01, 10.0))
+            x_tilde = np.zeros(prior.feature_dim)
+            gap = estimate_one("ml", prior, x_tilde, svar)[1] \
+                - estimate_one("mmse", prior, x_tilde, svar, label=1)[1]
             assert np.all(gap >= 0)
 
     def test_rwb_analytic_matches_observation_conditional_formula(self):
         rng = np.random.default_rng(15)
         prior = random_prior(rng)
         svar = 0.7
-        profile = make_profile(svar)
-        x_tilde = rng.normal(0.0, 2.0, prior.feature_dim)
-        theta = responsibilities(prior, x_tilde, svar)
+        X_tilde = rng.normal(0.0, 2.0, (6, prior.feature_dim))
+        theta = responsibilities_batch(prior, X_tilde, svar)
+        _, post_var = rwb_estimate_batch(prior, X_tilde, svar)
         # direct evaluation: bar_var + sum_l theta (bar_mu_l - ddot_mu)^2
         v = prior.variances
-        bar_mu = (v * x_tilde + svar * prior.means) / (v + svar)
-        ddot = theta @ bar_mu
-        expected = v * svar / (v + svar) \
-            + np.sum(theta[:, None] * (bar_mu - ddot) ** 2, axis=0)
-        np.testing.assert_allclose(
-            analytic_mse("rwb", prior, profile, responsibilities=theta),
-            expected, atol=1e-12)
+        for i in range(X_tilde.shape[0]):
+            bar_mu = (v * X_tilde[i] + svar * prior.means) / (v + svar)
+            ddot = theta[i] @ bar_mu
+            expected = v * svar / (v + svar) \
+                + np.sum(theta[i][:, None] * (bar_mu - ddot) ** 2, axis=0)
+            np.testing.assert_allclose(post_var[i], expected, atol=1e-12)
 
 
 class TestEmpiricalOrdering:
@@ -274,49 +227,10 @@ class TestEmpiricalOrdering:
                 assert gap.mean() >= -3 * se
 
 
-class TestEstimateCsv:
-    def test_rows_carry_device_tag_and_values(self, tmp_path):
-        from iseasim.estimators import export_estimates_csv
-        rng = np.random.default_rng(30)
-        prior = random_prior(rng)
-        profile = make_profile(0.4)
-        ests = [rwb_estimate(observe(prior.means[l], profile, seed=l, device=l),
-                             prior, profile) for l in range(3)]
-        path = tmp_path / "estimates.csv"
-        export_estimates_csv(ests, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        first = lines[0].split(",")
-        assert first[0] == "0" and first[1] == "rwb"
-        np.testing.assert_allclose([float(v) for v in first[2:]], ests[0].x_hat)
-
-
-class TestSensingSnr:
-    def test_unit_ratio_is_zero_db(self):
-        prior = GaussianMixturePrior(means=[[0.0, 0.0]], variances=[1.0, 3.0],
-                                     mixing=[1.0])
-        profile = DeviceProfile(sensing_var=2.0, power_budget=1.0,
-                                feature_second_moments=[1.0, 1.0])
-        assert sensing_snr(prior, [profile]) == pytest.approx(0.0)
-
-    def test_doubling_noise_costs_three_db(self):
-        rng = np.random.default_rng(18)
-        prior = random_prior(rng)
-        profiles = [make_profile(v) for v in (0.2, 0.5, 1.1)]
-        doubled = [make_profile(2 * p.sensing_var) for p in profiles]
-        drop = sensing_snr(prior, profiles) - sensing_snr(prior, doubled)
-        assert drop == pytest.approx(10 * np.log10(2.0), abs=1e-9)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(19)
-        prior = random_prior(rng)
-        svars = rng.uniform(0.1, 5.0, 4)
-        profiles = [make_profile(v) for v in svars]
-        expected = 10 * np.log10(
-            np.mean([np.mean(prior.variances) / v for v in svars]))
-        assert sensing_snr(prior, profiles) == pytest.approx(expected)
-
-    def test_empty_profiles_rejected(self):
+class TestEstimateBatch:
+    def test_unknown_tag_and_missing_labels_rejected(self):
         prior = random_prior(np.random.default_rng(20))
-        with pytest.raises(ValidationError):
-            sensing_snr(prior, [])
+        with pytest.raises(ValidationError, match="map"):
+            estimate_batch("map", prior, np.zeros((1, 4)), 1.0)
+        with pytest.raises(ValidationError, match="labels"):
+            estimate_batch("mmse", prior, np.zeros((1, 4)), 1.0)

@@ -1,4 +1,5 @@
-"""Modules of the package call one another through public names only."""
+"""Modules of the package call one another through public names only, and
+every public function or class is used by the package or exported."""
 
 import ast
 import pathlib
@@ -43,6 +44,42 @@ def private_uses(source):
     return sorted(found)
 
 
+def _names_used(tree, skip=None):
+    """Every identifier that `tree` reads or imports, outside the subtree
+    `skip`."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def dead_public_names(sources, exported):
+    """(module, name) of every top-level public function or class of the
+    `sources` modules (name -> source text) that no package source reads
+    outside its own definition and that `exported` does not list."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in exported:
+                continue
+            if not any(node.name in _names_used(other, skip=node)
+                       for other in trees.values()):
+                dead.append((module, node.name))
+    return sorted(dead)
+
+
 def test_package_modules_read_no_foreign_private_names():
     offenders = {path.name: private_uses(path.read_text(encoding="utf-8"))
                  for path in sorted(SRC.glob("*.py"))}
@@ -67,3 +104,24 @@ def test_detector_catches_imports_and_attribute_reads():
         (5, "solvers._DualCore"),
         (6, "ch._design_columns"),
     ]
+
+
+def test_every_public_name_is_used_or_exported():
+    import iseasim
+
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert dead_public_names(sources, set(iseasim.__all__)) == []
+
+
+def test_dead_name_detector():
+    sources = {
+        "a.py": "def used():\n    pass\n\n"
+                "def dead():\n    return dead()\n\n"
+                "class Exported:\n    pass\n\n"
+                "def _private():\n    pass\n",
+        "b.py": "from .a import used\n",
+        "c.py": "import a\na.Inner\n\nclass Lonely:\n    def used(self):\n        pass\n",
+    }
+    assert dead_public_names(sources, {"Exported"}) == [("a.py", "dead"),
+                                                        ("c.py", "Lonely")]

@@ -53,6 +53,20 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(num_devices=3, sensing_vars=(0.1, 0.2))
 
+    @pytest.mark.parametrize("field, value", [
+        *[(name, bad) for name in ("num_classes", "feature_dim", "num_devices",
+                                   "num_subcarriers", "trials", "calibration_samples")
+          for bad in (0, 2.5, True)],
+        ("noise_var", 0.0), ("noise_var", float("nan")), ("noise_var", "0.1"),
+        ("erasure_factor", -1.0), ("erasure_factor", float("nan")),
+        ("erasure_factor", float("inf")),
+        ("comm_snr_db", (10.0, float("nan"))), ("comm_snr_db", 10.0),
+        ("sensing_snr_db", float("nan")), ("sensing_snr_db", float("-inf")),
+    ])
+    def test_bad_numbers_name_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ExperimentConfig(**{field: value})
+
     def test_solver_opts_accept_only_kkt_tol(self):
         ExperimentConfig(solver_opts={"kkt_tol": 1e-5})
         with pytest.raises(ValidationError, match="max_iters"):
@@ -213,7 +227,8 @@ class TestSweep:
     def test_exclusion_budget_enforced(self):
         cfg = tiny_config(trials=20, solver="fdm_mse",
                           solver_opts={"kkt_tol": -1.0})
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError,
+                           match=r"comm_snr=10.0: 20/20 trials of solver 'fdm_mse'"):
             sweep(cfg, "comm_snr", [10.0])
 
     def test_empty_values_rejected(self):

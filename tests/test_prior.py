@@ -8,19 +8,12 @@ import pytest
 from iseasim.prior import (
     DiscriminativePrior,
     GaussianMixturePrior,
-    LabeledFeature,
     ValidationError,
     discriminative_prior,
-    export_samples_csv,
-    fit_from_samples,
-    map_classify,
     map_classify_batch,
     min_md,
     pairwise_md,
-    read_samples_csv,
-    responsibilities,
     responsibilities_batch,
-    sample,
     sample_arrays,
 )
 
@@ -105,7 +98,8 @@ class TestSample:
 
     def test_zero_count_gives_empty_list(self):
         prior = random_prior(np.random.default_rng(0))
-        assert sample(prior, 0, seed=1) == []
+        labels, X = sample_arrays(prior, 0, seed=1)
+        assert labels.shape == (0,) and X.shape == (0, prior.feature_dim)
 
     def test_deterministic_for_fixed_seed(self):
         prior = random_prior(np.random.default_rng(0))
@@ -119,22 +113,23 @@ class TestResponsibilities:
     def test_single_class(self):
         prior = GaussianMixturePrior(means=[[0.0, 0.0]], variances=[1.0, 1.0],
                                      mixing=[1.0])
-        np.testing.assert_allclose(responsibilities(prior, [3.0, -1.0], 0.5),
-                                   [1.0])
+        np.testing.assert_allclose(responsibilities_batch(prior, [[3.0, -1.0]], 0.5),
+                                   [[1.0]])
 
     def test_symmetric_classes_split_evenly(self):
         prior = GaussianMixturePrior(means=[[-1.0], [1.0]], variances=[1.0],
                                      mixing=[0.5, 0.5])
-        theta = responsibilities(prior, [0.0], 0.3)
-        np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-12)
+        theta = responsibilities_batch(prior, [[0.0]], 0.3)
+        np.testing.assert_allclose(theta, [[0.5, 0.5]], atol=1e-12)
 
     def test_against_direct_density_oracle(self):
         # direct Bayes evaluation with plain python floats, no log tricks
         rng = np.random.default_rng(9)
         prior = random_prior(rng)
         svar = 0.7
-        for _ in range(20):
-            x = rng.normal(0.0, 2.0, prior.feature_dim)
+        X = rng.normal(0.0, 2.0, (20, prior.feature_dim))
+        theta = responsibilities_batch(prior, X, svar)
+        for x, row in zip(X, theta):
             weights = []
             for l in range(prior.num_classes):
                 dens = 1.0
@@ -144,8 +139,7 @@ class TestResponsibilities:
                     dens *= math.exp(-0.5 * d * d / v) / math.sqrt(2 * math.pi * v)
                 weights.append(prior.mixing[l] * dens)
             oracle = np.array(weights) / sum(weights)
-            np.testing.assert_allclose(responsibilities(prior, x, svar),
-                                       oracle, atol=1e-10)
+            np.testing.assert_allclose(row, oracle, atol=1e-10)
 
     def test_sums_to_one_for_extreme_inputs(self):
         rng = np.random.default_rng(2)
@@ -158,18 +152,18 @@ class TestResponsibilities:
     def test_large_sensing_var_recovers_mixing(self):
         rng = np.random.default_rng(3)
         prior = random_prior(rng)
-        theta = responsibilities(prior, rng.normal(size=prior.feature_dim), 1e12)
-        np.testing.assert_allclose(theta, prior.mixing, atol=1e-4)
+        theta = responsibilities_batch(prior, rng.normal(size=(3, prior.feature_dim)), 1e12)
+        np.testing.assert_allclose(theta, np.tile(prior.mixing, (3, 1)), atol=1e-4)
 
     def test_nan_input_rejected(self):
         prior = random_prior(np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            responsibilities(prior, [np.nan, 0.0, 0.0, 0.0], 1.0)
+            responsibilities_batch(prior, [[np.nan, 0.0, 0.0, 0.0]], 1.0)
 
     def test_negative_sensing_var_rejected(self):
         prior = random_prior(np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            responsibilities(prior, np.zeros(4), -1.0)
+            responsibilities_batch(prior, np.zeros((1, 4)), -1.0)
 
 
 class TestPairwiseMd:
@@ -278,13 +272,12 @@ class TestMapClassify:
         prior = GaussianMixturePrior(
             means=np.eye(4) * 10.0, variances=np.ones(4),
             mixing=np.full(4, 0.25))
-        for l in range(1, 5):
-            assert map_classify(prior, prior.means[l - 1]) == l
+        np.testing.assert_array_equal(map_classify_batch(prior, prior.means), [1, 2, 3, 4])
 
     def test_prior_breaks_likelihood_tie(self):
         prior = GaussianMixturePrior(means=[[-1.0], [1.0]], variances=[1.0],
                                      mixing=[0.7, 0.3])
-        assert map_classify(prior, [0.0]) == 1
+        np.testing.assert_array_equal(map_classify_batch(prior, [[0.0]]), [1])
 
     def test_agrees_with_posterior_oracle(self):
         rng = np.random.default_rng(11)
@@ -297,46 +290,7 @@ class TestMapClassify:
     def test_nan_rejected(self):
         prior = random_prior(np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            map_classify(prior, [np.nan, 0.0, 0.0, 0.0])
-
-
-class TestFitFromSamples:
-    def test_round_trip_recovers_parameters(self):
-        rng = np.random.default_rng(12)
-        prior = random_prior(rng)
-        labels, X = sample_arrays(prior, 100_000, seed=13)
-        fitted = fit_from_samples((labels, X), prior.num_classes)
-        for l in range(1, prior.num_classes + 1):
-            n_l = np.count_nonzero(labels == l)
-            tol = 3.0 * np.sqrt(prior.variances / n_l)
-            np.testing.assert_array_less(
-                np.abs(fitted.means[l - 1] - prior.means[l - 1]), tol)
-        np.testing.assert_allclose(fitted.variances, prior.variances, rtol=0.05)
-
-    def test_identical_samples_hit_variance_floor(self):
-        x = np.array([1.0, 2.0])
-        samples = [LabeledFeature(label=1, x=x) for _ in range(10)]
-        fitted = fit_from_samples(samples, 1)
-        np.testing.assert_array_equal(fitted.variances, 1e-9)
-
-    def test_mixing_sums_exactly_to_one(self):
-        rng = np.random.default_rng(14)
-        prior = random_prior(rng)
-        labels, X = sample_arrays(prior, 1000, seed=15)
-        fitted = fit_from_samples((labels, X), prior.num_classes)
-        assert fitted.mixing.sum() == 1.0
-
-    def test_missing_class_lists_absent_labels(self):
-        samples = [LabeledFeature(label=1, x=np.array([0.0])) for _ in range(5)]
-        with pytest.raises(ValidationError, match=r"\[2, 3\]"):
-            fit_from_samples(samples, 3)
-
-    def test_thin_class_rejected(self):
-        samples = [LabeledFeature(label=1, x=np.array([0.0])),
-                   LabeledFeature(label=1, x=np.array([1.0])),
-                   LabeledFeature(label=2, x=np.array([2.0]))]
-        with pytest.raises(ValidationError, match="fewer than 2"):
-            fit_from_samples(samples, 2)
+            map_classify_batch(prior, [[np.nan, 0.0, 0.0, 0.0]])
 
 
 class TestImmutability:
@@ -348,17 +302,3 @@ class TestImmutability:
             prior.variances[0] = 2.0
         with pytest.raises(ValueError):
             prior.mixing[0] = 0.9
-
-
-class TestSamplesCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        prior = random_prior(rng)
-        samples = sample(prior, 25, seed=17)
-        path = tmp_path / "samples.csv"
-        export_samples_csv(samples, path)
-        loaded = read_samples_csv(path)
-        assert len(loaded) == len(samples)
-        for a, b in zip(samples, loaded):
-            assert a.label == b.label
-            np.testing.assert_array_equal(a.x, b.x)
