@@ -86,6 +86,9 @@ def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None,
     if tag == "mmse":
         if labels is None:
             raise ValidationError("mmse estimator requires true labels")
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size and (labels.min() < 1 or labels.max() > prior.num_classes):
+            raise ValidationError(f"labels must lie in 1..{prior.num_classes}")
         x_hat = _mmse_shrink(prior, X_tilde, labels, sensing_var)
         pv = np.broadcast_to(mmse_posterior_var(prior, sensing_var), (n, M)).copy()
         return x_hat, pv

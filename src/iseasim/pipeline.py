@@ -222,6 +222,8 @@ def target_sensing_vars(prior: GaussianMixturePrior, num_devices: int,
     sensing SNR exactly: the per-device SNR ratios are drawn uniformly
     within a factor `spread` and renormalized so their mean equals the
     target."""
+    if num_devices < 1:
+        raise ValidationError(f"num_devices must be >= 1, got {num_devices}")
     if spread < 1.0:
         raise ValidationError("sensing_spread must be >= 1")
     mean_var = float(np.mean(prior.variances))

@@ -104,6 +104,20 @@ class TestReceivedMd:
                           np.array([1.0]))
         assert out[0] == pytest.approx(1.0)
 
+    def test_rx_invariance_exact(self):
+        # the MD of the received aggregate a_n y_n does not depend on a_n
+        rng = np.random.default_rng(6)
+        gains = rng.uniform(0.5, 2.0, (3, 2))
+        sigma_hat = rng.uniform(0.2, 1.0, (3, 2))
+        tx = rng.uniform(0.05, 0.4, (3, 2))
+        delta = np.array([0.5, 2.0])
+        hb = gains * tx
+        out = md_received(gains, tx, sigma_hat, 0.2, delta)
+        for rx in (np.ones(2), np.array([7.0, 0.1])):
+            signal = (rx * hb.sum(axis=0)) ** 2
+            noise = rx ** 2 * (np.sum(hb * hb * sigma_hat, axis=0) + 0.2)
+            np.testing.assert_allclose(out, delta * signal / noise, rtol=1e-12)
+
     def test_monotone_under_uniform_power_scaling(self):
         rng = np.random.default_rng(7)
         gains = rng.uniform(0.5, 2.0, (3, 2))
@@ -158,3 +172,52 @@ class TestCommSnr:
         assert budgets.shape == (4,)
         np.testing.assert_allclose(pipeline.power_budgets(cfg, 5.0 + 10 * np.log10(2.0)),
                                    2 * budgets, rtol=1e-12)
+
+
+def decode_context(decode):
+    """A sweep point's context whose decode rule is `decode` (three
+    devices, four features)."""
+    cfg = pipeline.ExperimentConfig(solver="equal", comm_snr_db=(10.0,),
+                                    calibration_samples=100, decode=decode)
+    return pipeline.build_context(cfg, "comm_snr", 10.0, 0)
+
+
+class TestEffectiveGains:
+    def test_unit_alignment_gives_device_count(self):
+        # a_n sum_k h b = 3 when a = 1 and h b = 1 for each of three devices
+        hb = np.ones((1, 3, 4))
+        y_hat = np.arange(1.0, 5.0)[None, :]
+        decoded, observed = pipeline._decode(decode_context("gain"), y_hat,
+                                             np.ones((1, 4)), hb)
+        np.testing.assert_allclose(decoded, y_hat / 3.0, rtol=1e-15)
+        assert observed.all()
+
+
+class TestTransmitAggregate:
+    def test_perfect_alignment_reproduces_average(self):
+        # equal h b across devices and no receiver noise: the decoded
+        # aggregate is the average of the device estimates
+        rng = np.random.default_rng(1)
+        X_hat = rng.normal(size=(5, 3, 4))
+        gains = rng.uniform(0.5, 2.0, (5, 3, 4))
+        tx = 0.3 / gains
+        rx = rng.uniform(0.5, 1.5, (5, 4))
+        hb = gains * tx
+        y_hat = rx * np.sum(hb * X_hat, axis=1)
+        for decode in ("gated", "gain"):
+            decoded, observed = pipeline._decode(decode_context(decode), y_hat, rx, hb)
+            np.testing.assert_allclose(decoded, X_hat.mean(axis=1), rtol=1e-12)
+            assert observed.all()
+
+    def test_zero_transmit_is_pure_noise(self):
+        # with b = 0 the aggregate carries only receiver noise: gated decode
+        # erases every element and gain decode yields zeros, not noise / 0
+        rng = np.random.default_rng(2)
+        y_hat = rng.normal(size=(6, 4))
+        hb = np.zeros((6, 3, 4))
+        decoded, observed = pipeline._decode(decode_context("gated"), y_hat,
+                                             np.ones((6, 4)), hb)
+        assert not observed.any()
+        np.testing.assert_array_equal(decoded, 0.0)
+        decoded, _ = pipeline._decode(decode_context("gain"), y_hat, np.ones((6, 4)), hb)
+        np.testing.assert_array_equal(decoded, 0.0)

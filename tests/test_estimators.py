@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iseasim.estimators import estimate_batch, observe_batch, rwb_estimate_batch
+from iseasim.pipeline import target_sensing_vars
 from iseasim.prior import GaussianMixturePrior, responsibilities_batch, sample_arrays
 from iseasim.validation import ValidationError
 
@@ -88,6 +89,14 @@ class TestMmseEstimate:
         emp = np.mean((X_hat - X) ** 2, axis=0)
         expected = prior.variances * svar / (prior.variances + svar)
         np.testing.assert_allclose(emp, expected, rtol=0.02)
+
+    def test_invalid_label_rejected(self):
+        rng = np.random.default_rng(5)
+        prior = random_prior(rng)
+        x_tilde = observe_batch(np.zeros(4), 0.5, seed=11)
+        for label in (0, prior.num_classes + 1):
+            with pytest.raises(ValidationError, match="labels"):
+                estimate_one("mmse", prior, x_tilde, 0.5, label=label)
 
     def test_approaches_ml_for_flat_prior(self):
         # non-informative prior limit: variances -> infinity
@@ -234,3 +243,33 @@ class TestEstimateBatch:
             estimate_batch("map", prior, np.zeros((1, 4)), 1.0)
         with pytest.raises(ValidationError, match="labels"):
             estimate_batch("mmse", prior, np.zeros((1, 4)), 1.0)
+
+
+class TestSensingSnr:
+    """The average receive sensing SNR, 10 log10 mean_k (mean_m v_m / s_k),
+    through `target_sensing_vars`, which sets the per-device s_k from it."""
+
+    def test_unit_ratio_is_zero_db(self):
+        prior = GaussianMixturePrior(means=[[0.0, 0.0]], variances=[1.0, 3.0],
+                                     mixing=[1.0])
+        np.testing.assert_array_equal(target_sensing_vars(prior, 1, 0.0, seed=17), 2.0)
+
+    def test_doubling_noise_costs_three_db(self):
+        prior = random_prior(np.random.default_rng(18))
+        base = target_sensing_vars(prior, 3, 6.0, seed=18)
+        doubled = target_sensing_vars(prior, 3, 6.0 - 10 * np.log10(2.0), seed=18)
+        np.testing.assert_allclose(doubled, 2 * base, rtol=1e-12)
+
+    def test_matches_direct_formula(self):
+        rng = np.random.default_rng(19)
+        prior = random_prior(rng)
+        for snr in rng.uniform(-10.0, 20.0, 3):
+            svars = target_sensing_vars(prior, 4, snr, seed=19, spread=3.0)
+            assert svars.shape == (4,)
+            assert 10 * np.log10(np.mean(np.mean(prior.variances) / svars)) \
+                == pytest.approx(snr, abs=1e-9)
+
+    def test_empty_profiles_rejected(self):
+        prior = random_prior(np.random.default_rng(20))
+        with pytest.raises(ValidationError, match="num_devices"):
+            target_sensing_vars(prior, 0, 10.0, seed=20)
