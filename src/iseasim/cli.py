@@ -178,7 +178,7 @@ def _cmd_accuracy_sweep(args) -> int:
 
 def _cmd_validate_solvers(args) -> int:
     data = _load_config(args.config) if args.config else {}
-    n_inst = int(data.get("instances", 20))
+    n_inst = data.get("instances", 20)
     seed = int(args.seed if args.seed is not None else data.get("seed", 0))
     checks = solvers.oracle_validation_suite(n_inst, seed)
     failed = 0

@@ -103,6 +103,7 @@ class ExperimentConfig:
             raise ValidationError("comm_snr_db must be a list of numbers") from exc
         reals = [("noise_var", self.noise_var, True),
                  ("erasure_factor", self.erasure_factor, True),
+                 ("min_md_target", self.min_md_target, True),
                  ("sensing_snr_db", self.sensing_snr_db, False)]
         for name, value, positive in reals + [("comm_snr_db", v, False)
                                               for v in self.comm_snr_db]:
@@ -137,14 +138,19 @@ class ExperimentConfig:
                 f"unknown solver_opts keys: {unknown}; only 'kkt_tol' is accepted"
             )
         try:
-            float(self.solver_opts.get("kkt_tol", KKT_GATE))
+            kkt_tol = float(self.solver_opts.get("kkt_tol", KKT_GATE))
         except (TypeError, ValueError) as exc:
             raise ValidationError("solver_opts kkt_tol must be a number") from exc
+        # A negative gate is valid: it marks every trial as not converged.
+        if not math.isfinite(kkt_tol):
+            raise ValidationError(f"solver_opts kkt_tol must be finite, got {kkt_tol!r}")
         if self.sensing_vars is not None:
             sv = tuple(float(v) for v in self.sensing_vars)
-            if len(sv) != self.num_devices or any(v < 0 for v in sv):
+            if len(sv) != self.num_devices \
+                    or not all(math.isfinite(v) and v >= 0 for v in sv):
                 raise ValidationError(
-                    "sensing_vars must list one nonnegative value per device"
+                    "sensing_vars must list one finite nonnegative value per device, "
+                    f"got {list(sv)}"
                 )
             object.__setattr__(self, "sensing_vars", sv)
 
@@ -193,6 +199,9 @@ def default_prior(num_classes: int = 5, feature_dim: int = 4,
     trailing ones, so the per-dimension minimum squared mean gap ranks
     dimensions by their real discriminative value.
     """
+    if not isinstance(min_md_target, numbers.Real) or isinstance(min_md_target, bool) \
+            or not math.isfinite(min_md_target) or min_md_target <= 0:
+        raise ValidationError(f"min_md_target must be finite and > 0, got {min_md_target!r}")
     rng = np.random.default_rng(seed)
     grid = np.arange(num_classes, dtype=np.float64)
     grid -= grid.mean()
@@ -206,7 +215,7 @@ def default_prior(num_classes: int = 5, feature_dim: int = 4,
         variances=np.ones(feature_dim),
         mixing=np.full(num_classes, 1.0 / num_classes),
     )
-    if num_classes > 1 and min_md_target > 0:
+    if num_classes > 1:
         gmin, _ = min_md(prior0)
         means = means * np.sqrt(min_md_target / gmin)
     return GaussianMixturePrior(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -680,46 +681,93 @@ def _z_consistency(inst: FdmInstance, tx, z) -> float:
 # brute-force validation oracle
 # ---------------------------------------------------------------------------
 
-def _golden_min(fun, lo, hi, iters=44):
-    """Deterministic golden-section minimization on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+# Golden-section steps per coordinate search, and the starts the grid
+# hands to coordinate descent.
+GOLDEN_ITERS = 44
+ORACLE_STARTS = 5
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(fun, size):
+    """Deterministic golden-section minimization on [0, 1] of `size`
+    independent problems at once: fun maps an (size,) vector of points to
+    their (size,) values.  Returns (x, fun(x)) with x the midpoint of each
+    final bracket."""
+    a, b = np.zeros(size), np.ones(size)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
+    for _ in range(GOLDEN_ITERS):
+        left = fc <= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        step = _INVPHI * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fun(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     x = 0.5 * (a + b)
     return x, fun(x)
 
 
-def _params_to_tx(params, budgets, moments):
-    """Map box parameters in [0,1] to feasible transmit magnitudes.
+def _params_to_tx(params, budgets, moments, out):
+    """Map box parameters in [0,1] to feasible transmit magnitudes, written
+    into out (..., K, N) and returned.
 
     N = 1: one power-use share s_k per device.
     N = 2: (s_k, t_k) with t_k splitting the used power across the two
     subcarriers.  params has shape (..., D) with D = K or 2K.
     """
-    K, N = moments.shape
-    params = np.asarray(params, dtype=np.float64)
-    if N == 1:
-        s = params[..., :K]
-        power = s * budgets
-        return np.sqrt(power / moments[:, 0])[..., :, None]
+    if moments.shape[1] == 1:
+        np.sqrt(params * budgets / moments[:, 0], out=out[..., 0])
+        return out
     s = params[..., 0::2]
     t = params[..., 1::2]
-    p1 = s * t * budgets
-    p2 = s * (1.0 - t) * budgets
-    b1 = np.sqrt(p1 / moments[:, 0])
-    b2 = np.sqrt(p2 / moments[:, 1])
-    return np.stack([b1, b2], axis=-1)
+    np.sqrt(s * t * budgets / moments[:, 0], out=out[..., 0])
+    np.sqrt(s * (1.0 - t) * budgets / moments[:, 1], out=out[..., 1])
+    return out
+
+
+def _check_count(value, name, least):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _grid_starts(value, grid_resolution, budgets, moments):
+    """The ORACLE_STARTS points of the box-parameter grid with the smallest
+    value(tx) (ties to the earlier point in `ij` order), as (S, D) params.
+
+    The grid is evaluated one slice at a time, a slice being every point
+    with a given leading parameter, so memory stays at one slice.  Each
+    slice's stable top S is in value order with ties in grid order, and the
+    slices follow the grid order, so one stable sort of the slices'
+    candidates ranks them as a stable sort of the whole grid would.
+    """
+    K, N = moments.shape
+    dims = K if N == 1 else 2 * K
+    axis = np.linspace(0.0, 1.0, grid_resolution)
+    # The point axis is the fastest in memory, so the kernels' sums over
+    # devices add whole rows.  The sums have at most three terms, which
+    # numpy adds in order in either layout, so the values do not change.
+    M = grid_resolution ** (dims - 1)
+    chunk = np.empty((dims, M)).T
+    for j, m in enumerate(np.meshgrid(*([axis] * (dims - 1)), indexing="ij")):
+        chunk[:, j + 1] = m.ravel()
+    tx = np.empty((K, N, M)).transpose(2, 0, 1)
+    k = min(ORACLE_STARTS, M)
+    top_v, top_p = [], []
+    for x0 in axis:
+        chunk[:, 0] = x0
+        vals = value(_params_to_tx(chunk, budgets, moments, tx))
+        # Stable top k: the points not above the k-th smallest value, in
+        # grid order, then sorted by value.
+        near = np.flatnonzero(~(vals > np.partition(vals, k - 1)[k - 1]))
+        top = near[np.argsort(vals[near], kind="stable")[:k]]
+        top_v.append(vals[top])
+        top_p.append(chunk[top])
+    order = np.argsort(np.concatenate(top_v), kind="stable")
+    return np.concatenate(top_p)[order[:ORACLE_STARTS]]
 
 
 def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
@@ -730,9 +778,18 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
     most two subcarriers.  Receive coefficients are eliminated through the
     MSE-minimizing rule (the MD objective never depends on them), so the
     search space is the per-device power usage and split.
+
+    The ORACLE_STARTS best points of a grid with grid_resolution points per
+    parameter (see `_grid_starts`) start coordinate descent.  The starts
+    descend in lock-step: each coordinate is one golden-section search
+    run for all of them at once, for at most refine_sweeps sweeps, and
+    the descent stops after the first sweep in which no start improves.
+    The first start with the strictly smallest value wins.
     """
     if objective not in ("mse", "md"):
         raise ValidationError(f"objective must be 'mse' or 'md', got {objective!r}")
+    _check_count(grid_resolution, "grid_resolution", 1)
+    _check_count(refine_sweeps, "refine_sweeps", 0)
     g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
     K, N = g.shape
     if K * N > 6:
@@ -749,40 +806,38 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
             return np.sum(mse_min_rx(g, tx, sv, noise), axis=-1)
         return -np.sum(md_received(g, tx, sv, noise, delta), axis=-1)
 
-    dims = K if N == 1 else 2 * K
-    axis = np.linspace(0.0, 1.0, grid_resolution)
-    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = value(_params_to_tx(grid, budgets, moments))
-    order = np.argsort(vals, kind="stable")
-    starts = grid[order[:5]]
-
-    best_p, best_v = None, None
-    evals = int(vals.size)
-    for start in starts:
-        p = start.copy()
-        v = float(value(_params_to_tx(p, budgets, moments)))
-        for _ in range(refine_sweeps):
-            improved = False
-            for d in range(dims):
-                def along(x, d=d, p=p):
-                    q = p.copy()
-                    q[d] = x
-                    return float(value(_params_to_tx(q, budgets, moments)))
-                x, vx = _golden_min(along, 0.0, 1.0)
-                if vx < v - 1e-15 * max(1.0, abs(v)):
-                    p[d] = x
-                    v = vx
-                    improved = True
-            if not improved:
-                break
-        if best_v is None or v < best_v:
-            best_p, best_v = p, v
-    tx = _params_to_tx(best_p, budgets, moments)
+    p = _grid_starts(value, grid_resolution, budgets, moments)
+    S, dims = p.shape
+    q = np.empty_like(p)
+    tx = np.empty((S, K, N))
+    v = value(_params_to_tx(p, budgets, moments, tx))
+    # A start whose sweep improves nothing has stopped where a loop over
+    # the starts would break: its next sweep repeats the same searches
+    # from the same point and improves nothing either.
+    for _ in range(refine_sweeps):
+        improved = False
+        for d in range(dims):
+            def along(x, d=d):
+                np.copyto(q, p)
+                q[:, d] = x
+                return value(_params_to_tx(q, budgets, moments, tx))
+            x, vx = _golden_section(along, S)
+            better = vx < v - 1e-15 * np.maximum(1.0, np.abs(v))
+            p[better, d] = x[better]
+            v = np.where(better, vx, v)
+            improved = improved or bool(better.any())
+        if not improved:
+            break
+    best = 0
+    for s in range(1, S):
+        if v[s] < v[best]:
+            best = s
+    tx = _params_to_tx(p[best], budgets, moments, np.empty((K, N)))
     rx = rx_mse_optimal(inst, tx)
     design = _make_design(inst, tx, rx)
-    obj = -best_v if objective == "md" else best_v
-    return SolveReport(design=design, objective=float(obj), iterations=evals,
+    obj = -v[best] if objective == "md" else v[best]
+    return SolveReport(design=design, objective=float(obj),
+                       iterations=grid_resolution ** dims,
                        kkt_residual=0.0, converged=True,
                        extras={"method": "grid+coordinate-descent",
                                "grid_resolution": grid_resolution})
@@ -829,6 +884,7 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
     small instances, plus the structural invariants (feasibility, TDM
     design equivalence under homogeneous variances, FDM objective
     dominance).  Returns (name, passed, detail) triples."""
+    _check_count(n_instances, "instances", 1)
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -131,6 +131,13 @@ class TestEstimatorSweep:
         header = out1.read_text().split("\n")[0]
         assert header.startswith("sensing_snr_db,mse_ml,mse_rwb,mse_mmse")
 
+    def test_nan_min_md_target_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "est.json",
+                           {"trials": 200, "min_md_target": float("nan")})
+        assert main(["estimator-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "e.csv")]) == 2
+        assert "min_md_target" in capsys.readouterr().err
+
 
 class TestEntropyReport:
     def test_emits_rows_per_configuration(self, tmp_path):
@@ -202,3 +209,9 @@ class TestValidateSolvers:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("instances", [0, 1.9, "x"])
+    def test_bad_instance_count_is_validation_error(self, tmp_path, capsys, instances):
+        cfg = write_config(tmp_path, "val.json", {"instances": instances})
+        assert main(["validate-solvers", "--config", cfg]) == 2
+        assert "instances" in capsys.readouterr().err

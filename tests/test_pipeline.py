@@ -62,6 +62,9 @@ class TestConfig:
         ("erasure_factor", float("inf")),
         ("comm_snr_db", (10.0, float("nan"))), ("comm_snr_db", 10.0),
         ("sensing_snr_db", float("nan")), ("sensing_snr_db", float("-inf")),
+        ("min_md_target", float("nan")), ("min_md_target", 0.0), ("min_md_target", -1.0),
+        ("sensing_vars", (float("nan"), 0.1, 0.1)), ("sensing_vars", (0.1, float("inf"), 0.1)),
+        ("solver_opts", {"kkt_tol": float("nan")}), ("solver_opts", {"kkt_tol": float("inf")}),
     ])
     def test_bad_numbers_name_the_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -69,6 +72,7 @@ class TestConfig:
 
     def test_solver_opts_accept_only_kkt_tol(self):
         ExperimentConfig(solver_opts={"kkt_tol": 1e-5})
+        ExperimentConfig(solver_opts={"kkt_tol": -1.0})  # forces every exclusion
         with pytest.raises(ValidationError, match="max_iters"):
             ExperimentConfig(solver_opts={"max_iters": 150})
         with pytest.raises(ValidationError, match="kkt_tol"):
@@ -88,6 +92,11 @@ class TestDefaultPrior:
         from iseasim.prior import discriminative_prior
         delta = discriminative_prior(default_prior()).delta
         assert delta[0] > delta[-1]
+
+    @pytest.mark.parametrize("target", [float("nan"), 0.0, -4.0, float("inf")])
+    def test_bad_min_md_target_names_the_field(self, target):
+        with pytest.raises(ValidationError, match="min_md_target"):
+            default_prior(min_md_target=target)
 
     def test_seeded_determinism(self):
         a = default_prior(seed=77)

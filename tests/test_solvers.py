@@ -1,6 +1,8 @@
 """Tests for the transceiver power-allocation solvers."""
 
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iseasim.channel import mse_at_rx, mse_min_rx
+from iseasim.channel import md_received, mse_at_rx, mse_min_rx
 from iseasim.solvers import (
     SOLVER_NAMES,
     FdmInstance,
@@ -18,6 +20,7 @@ from iseasim.solvers import (
     design_mse,
     fdm_md_optimal,
     fdm_mse_dual,
+    oracle_validation_suite,
     random_fdm_instance,
     random_tdm_instance,
     rx_mse_optimal,
@@ -26,7 +29,7 @@ from iseasim.solvers import (
     tdm_md_optimal,
     tdm_mse_optimal,
 )
-from iseasim.solvers import _bisect_fixed, _DualCore
+from iseasim.solvers import _bisect_fixed, _DualCore, _grid_starts
 from iseasim.validation import ValidationError
 
 
@@ -552,6 +555,174 @@ def test_newton_multiplier_matches_the_bisection_reference(stack):
         alone = _dual_core(moments[i:i + 1], budgets[i:i + 1])._lambda_for(
             c1[i:i + 1], c2[i:i + 1])
         np.testing.assert_array_equal(alone[0], lam[i])
+
+
+def _oracle_value(inst, objective):
+    """The oracle's objective value(tx) on (..., K, N) transmit magnitudes,
+    with the instance's (budgets, moments (K, N))."""
+    if isinstance(inst, TdmInstance):
+        g, moments, sv = inst.gains[:, None], inst.moments[:, None], inst.est_vars[:, None]
+        delta = np.array([inst.delta])
+    else:
+        g, moments, sv, delta = inst.gains, inst.moments, inst.est_vars, inst.delta
+    noise = inst.noise_var
+
+    def value(tx):
+        if objective == "mse":
+            return np.sum(mse_min_rx(g, tx, sv, noise), axis=-1)
+        return -np.sum(md_received(g, tx, sv, noise, delta), axis=-1)
+    return value, inst.budgets, moments
+
+
+def _oracle_loop_reference(inst, objective, grid_resolution=9, refine_sweeps=60):
+    """Serial form of the brute-force oracle: the whole grid at once, then
+    coordinate descent one start at a time with a scalar golden-section
+    search per coordinate.  Returns what the batched oracle must reproduce
+    bit for bit (objective, tx, rx, iterations, starts), plus the sweeps
+    each start ran and the grid's six smallest values."""
+    value, budgets, moments = _oracle_value(inst, objective)
+    K, N = moments.shape
+
+    def params_to_tx(params):
+        if N == 1:
+            return np.sqrt(params[..., :K] * budgets / moments[:, 0])[..., :, None]
+        s, t = params[..., 0::2], params[..., 1::2]
+        return np.stack([np.sqrt(s * t * budgets / moments[:, 0]),
+                         np.sqrt(s * (1.0 - t) * budgets / moments[:, 1])], axis=-1)
+
+    def golden_min(fun, lo, hi, iters=44):
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = fun(c), fun(d)
+        for _ in range(iters):
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = fun(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = fun(d)
+        x = 0.5 * (a + b)
+        return x, fun(x)
+
+    dims = K if N == 1 else 2 * K
+    axis = np.linspace(0.0, 1.0, grid_resolution)
+    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    vals = value(params_to_tx(grid))
+    order = np.argsort(vals, kind="stable")
+    starts = grid[order[:5]]
+
+    best_p, best_v, sweeps = None, None, []
+    for start in starts:
+        p = start.copy()
+        v = float(value(params_to_tx(p)))
+        for sweep in range(refine_sweeps):
+            improved = False
+            for d in range(dims):
+                def along(x, d=d, p=p):
+                    q = p.copy()
+                    q[d] = x
+                    return float(value(params_to_tx(q)))
+                x, vx = golden_min(along, 0.0, 1.0)
+                if vx < v - 1e-15 * max(1.0, abs(v)):
+                    p[d] = x
+                    v = vx
+                    improved = True
+            if not improved:
+                break
+        sweeps.append(sweep + 1 if refine_sweeps else 0)
+        if best_v is None or v < best_v:
+            best_p, best_v = p, v
+    tx = params_to_tx(best_p)
+    return SimpleNamespace(
+        objective=-best_v if objective == "md" else best_v, tx=tx,
+        rx=rx_mse_optimal(inst, tx), iterations=int(vals.size), starts=starts,
+        sweeps=sweeps, smallest=vals[order[:6]])
+
+
+def _identical_devices(rng, K, N):
+    one = random_fdm_instance(rng, 1, N)
+    return FdmInstance(gains=np.repeat(one.gains, K, 0), budgets=np.repeat(one.budgets, K),
+                       moments=np.repeat(one.moments, K, 0),
+                       est_vars=np.repeat(one.est_vars, K, 0),
+                       noise_var=one.noise_var, delta=one.delta)
+
+
+_ORACLE_CASES = [(K, N, objective, grid)
+                 for K in (1, 2, 3) for N in (1, 2) for objective in ("mse", "md")
+                 for grid in (9, 17)
+                 # the serial reference holds the whole grid in memory:
+                 # 17^6 points of the 3x2 shape would take gigabytes
+                 if grid ** (K * N) <= 9 ** 6]
+
+
+class TestOracleMatchesLoopReference:
+    @staticmethod
+    def assert_same(inst, objective, grid, sweeps=60):
+        report = brute_force_oracle(inst, objective, grid, sweeps)
+        ref = _oracle_loop_reference(inst, objective, grid, sweeps)
+        assert report.objective == ref.objective
+        np.testing.assert_array_equal(report.design.tx, ref.tx)
+        np.testing.assert_array_equal(report.design.rx, ref.rx)
+        assert report.iterations == ref.iterations
+        return ref
+
+    @pytest.mark.parametrize("K, N, objective, grid", _ORACLE_CASES)
+    def test_bit_identical_to_the_serial_loop(self, K, N, objective, grid):
+        rng = np.random.default_rng(1000 + 100 * K + 10 * N + grid)
+        instances = [random_fdm_instance(rng, K, N)]
+        if N == 1:
+            instances.append(random_tdm_instance(rng, K))
+        for inst in instances:
+            self.assert_same(inst, objective, grid)
+
+    def test_starts_that_stop_at_different_sweeps(self):
+        inst = random_fdm_instance(np.random.default_rng(36), 2, 2)
+        sweeps = self.assert_same(inst, "mse", 9).sweeps
+        assert len(set(sweeps)) > 1, sweeps
+        for cap in (0, 1, min(sweeps)):
+            self.assert_same(inst, "mse", 9, cap)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    def test_grids_with_fewer_points_per_slice_than_starts(self, grid):
+        rng = np.random.default_rng(32)
+        for K, N in ((1, 1), (2, 1), (1, 2)):
+            self.assert_same(random_fdm_instance(rng, K, N), "md", grid)
+
+    @pytest.mark.parametrize("K, N", [(2, 1), (3, 1), (2, 2)])
+    def test_grid_starts_break_ties_in_grid_order(self, K, N):
+        # Swapping two identical devices' parameters leaves the objective
+        # bit for bit equal, so grid values tie in pairs.
+        inst = _identical_devices(np.random.default_rng(34), K, N)
+        for objective in ("mse", "md"):
+            ref = _oracle_loop_reference(inst, objective, 9, refine_sweeps=0)
+            assert np.unique(ref.smallest).size < ref.smallest.size
+            value, budgets, moments = _oracle_value(inst, objective)
+            np.testing.assert_array_equal(_grid_starts(value, 9, budgets, moments),
+                                          ref.starts)
+
+
+class TestOracleInputs:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"grid_resolution": 0}, "grid_resolution"),
+        ({"grid_resolution": 2.5}, "grid_resolution"),
+        ({"grid_resolution": True}, "grid_resolution"),
+        ({"refine_sweeps": -1}, "refine_sweeps"),
+        ({"refine_sweeps": 1.5}, "refine_sweeps"),
+    ])
+    def test_bad_counts_name_the_argument(self, kwargs, name):
+        inst = random_fdm_instance(np.random.default_rng(33), 2, 1)
+        with pytest.raises(ValidationError, match=name):
+            brute_force_oracle(inst, "mse", **kwargs)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_suite_needs_an_instance(self, n):
+        with pytest.raises(ValidationError, match="instances"):
+            oracle_validation_suite(n, 0)
 
 
 class TestBruteForceOracle:
