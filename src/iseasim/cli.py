@@ -25,7 +25,7 @@ import numpy as np
 
 from . import entropy, pipeline, solvers
 from .channel import md_received, mse_at_rx
-from .validation import NonConvergenceError, ValidationError
+from .validation import NonConvergenceError, ValidationError, check_count, check_reals
 
 _DOM_COMPARE = 5
 
@@ -76,16 +76,18 @@ def _experiment_config(data: dict, seed_override=None) -> pipeline.ExperimentCon
 
 def _cmd_estimator_sweep(args) -> int:
     data = _load_config(args.config)
-    seed = int(args.seed if args.seed is not None else data.get("seed", 0))
+    seed = args.seed if args.seed is not None else data.get("seed", 0)
     prior = pipeline.default_prior(
-        int(data.get("num_classes", 5)), int(data.get("feature_dim", 4)),
-        float(data.get("min_md_target", 4.0)), int(data.get("prior_seed", 1234)),
+        check_count(data.get("num_classes", 5), "num_classes"),
+        check_count(data.get("feature_dim", 4), "feature_dim"),
+        data.get("min_md_target", 4.0),
+        check_count(data.get("prior_seed", 1234), "prior_seed", 0),
     )
-    grid = data.get("sensing_snr_grid_db",
-                    [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
+    grid = check_reals(data.get("sensing_snr_grid_db",
+                                [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]),
+                       "sensing_snr_grid_db")
     records = pipeline.estimator_sweep(
-        prior, int(data.get("num_devices", 3)), grid,
-        int(data.get("trials", 20000)), seed,
+        prior, data.get("num_devices", 3), grid, data.get("trials", 20000), seed,
         responsibility_noise_var=data.get("responsibility_noise_var"),
     )
     pipeline.export_estimator_sweep(records, args.output)
@@ -96,9 +98,10 @@ def _cmd_entropy_report(args) -> int:
     data = _load_config(args.config)
     if "sensing_var_sets" not in data:
         raise ValidationError("entropy-report config needs 'sensing_var_sets'")
-    prior_var = float(data.get("prior_var", 1.0))
+    prior_var = data.get("prior_var", 1.0)
     rows = []
     for idx, sv in enumerate(data["sensing_var_sets"]):
+        sv = check_reals(sv, "sensing_var_sets", 0, strict=True)
         rep = entropy.entropy_report(prior_var, sv)
         rows.append([idx, " ".join(_fmt(v) for v in sv),
                      _fmt(rep.h_ml), _fmt(rep.h_mmse)])
@@ -179,7 +182,7 @@ def _cmd_accuracy_sweep(args) -> int:
 def _cmd_validate_solvers(args) -> int:
     data = _load_config(args.config) if args.config else {}
     n_inst = data.get("instances", 20)
-    seed = int(args.seed if args.seed is not None else data.get("seed", 0))
+    seed = args.seed if args.seed is not None else data.get("seed", 0)
     checks = solvers.oracle_validation_suite(n_inst, seed)
     failed = 0
     for name, ok, detail in checks:

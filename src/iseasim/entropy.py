@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import ValidationError, as_vector, check_finite
+from .validation import ValidationError, as_vector, check_finite, check_real
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ class EntropyReport:
 
 
 def _check_vars(prior_var, sensing_vars):
-    if not np.isfinite(prior_var) or prior_var <= 0:
-        raise ValidationError(f"prior_var must be > 0, got {prior_var}")
+    check_real(prior_var, "prior_var", 0, strict=True)
     sv = as_vector(sensing_vars, "sensing_vars")
     check_finite(sv, "sensing_vars")
     if sv.size < 1:

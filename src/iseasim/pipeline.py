@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -35,7 +34,13 @@ from .prior import (
     min_md,
     sample_arrays,
 )
-from .validation import NonConvergenceError, ValidationError
+from .validation import (
+    NonConvergenceError,
+    ValidationError,
+    check_count,
+    check_real,
+    check_reals,
+)
 
 WORKERS_ENV = "ISEASIM_WORKERS"
 
@@ -92,26 +97,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-                    or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        try:
-            object.__setattr__(self, "comm_snr_db",
-                               tuple(float(v) for v in self.comm_snr_db))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("comm_snr_db must be a list of numbers") from exc
-        reals = [("noise_var", self.noise_var, True),
-                 ("erasure_factor", self.erasure_factor, True),
-                 ("min_md_target", self.min_md_target, True),
-                 ("sensing_snr_db", self.sensing_snr_db, False)]
-        for name, value, positive in reals + [("comm_snr_db", v, False)
-                                              for v in self.comm_snr_db]:
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) \
-                    or not math.isfinite(value) or (positive and value <= 0):
-                raise ValidationError(
-                    f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}"
-                )
+            check_count(getattr(self, name), name)
+        for name in ("seed", "prior_seed"):
+            check_count(getattr(self, name), name, 0)
+        if self.workers is not None:
+            check_count(self.workers, "workers")
+        object.__setattr__(self, "comm_snr_db", check_reals(self.comm_snr_db, "comm_snr_db"))
+        for name, least, strict in (("noise_var", 0, True), ("erasure_factor", 0, True),
+                                    ("min_md_target", 0, True),
+                                    ("sensing_snr_db", -math.inf, False),
+                                    ("sensing_spread", 1, False),
+                                    ("exclusion_limit", 0, False)):
+            check_real(getattr(self, name), name, least, strict)
+        if self.responsibility_noise_var is not None:
+            check_real(self.responsibility_noise_var, "responsibility_noise_var", 0)
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.feature_dim > self.num_subcarriers:
@@ -130,7 +129,7 @@ class ExperimentConfig:
             )
         if self.decode not in DECODE_MODES:
             raise ValidationError(f"decode must be one of {DECODE_MODES}")
-        if not 0.0 <= self.exclusion_limit <= 1.0:
+        if self.exclusion_limit > 1.0:
             raise ValidationError("exclusion_limit must lie in [0, 1]")
         unknown = sorted(set(self.solver_opts) - {"kkt_tol"})
         if unknown:
@@ -145,13 +144,10 @@ class ExperimentConfig:
         if not math.isfinite(kkt_tol):
             raise ValidationError(f"solver_opts kkt_tol must be finite, got {kkt_tol!r}")
         if self.sensing_vars is not None:
-            sv = tuple(float(v) for v in self.sensing_vars)
-            if len(sv) != self.num_devices \
-                    or not all(math.isfinite(v) and v >= 0 for v in sv):
+            sv = check_reals(self.sensing_vars, "sensing_vars", 0)
+            if len(sv) != self.num_devices:
                 raise ValidationError(
-                    "sensing_vars must list one finite nonnegative value per device, "
-                    f"got {list(sv)}"
-                )
+                    f"sensing_vars must list one value per device, got {list(sv)}")
             object.__setattr__(self, "sensing_vars", sv)
 
     @classmethod
@@ -199,9 +195,7 @@ def default_prior(num_classes: int = 5, feature_dim: int = 4,
     trailing ones, so the per-dimension minimum squared mean gap ranks
     dimensions by their real discriminative value.
     """
-    if not isinstance(min_md_target, numbers.Real) or isinstance(min_md_target, bool) \
-            or not math.isfinite(min_md_target) or min_md_target <= 0:
-        raise ValidationError(f"min_md_target must be finite and > 0, got {min_md_target!r}")
+    check_real(min_md_target, "min_md_target", 0, strict=True)
     rng = np.random.default_rng(seed)
     grid = np.arange(num_classes, dtype=np.float64)
     grid -= grid.mean()
@@ -313,12 +307,11 @@ def build_context(config: ExperimentConfig, variable: str, value,
     if variable == "comm_snr":
         pass
     elif variable == "sensing_snr":
-        cfg = replace(cfg, sensing_snr_db=float(value), sensing_vars=None)
+        cfg = replace(cfg, sensing_snr_db=value, sensing_vars=None)
     elif variable == "K":
-        cfg = replace(cfg, num_devices=int(value), sensing_vars=None)
+        cfg = replace(cfg, num_devices=value, sensing_vars=None)
     elif variable == "N":
-        n = int(value)
-        cfg = replace(cfg, num_subcarriers=n)
+        cfg = replace(cfg, num_subcarriers=value)
     else:
         raise ValidationError(
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
@@ -551,14 +544,15 @@ def _worker_chunk(args):
 
 def _resolve_workers(config: ExperimentConfig) -> int:
     if config.workers is not None:
-        return max(1, int(config.workers))
-    env = os.environ.get(WORKERS_ENV, "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer") from exc
-    return 1
+        return config.workers
+    env = os.environ.get(WORKERS_ENV, "").strip()
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = env
+    return check_count(workers, WORKERS_ENV)
 
 
 def _run_value(ctx: TrialContext, trials: int, workers: int) -> dict:
@@ -611,7 +605,8 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
         if variable != "comm_snr":
             raise ValidationError("values must be given for non-SNR sweeps")
         values = config.comm_snr_db
-    values = list(values)
+    check = check_count if variable in ("K", "N") else check_real
+    values = [check(value, "sweep_values") for value in values]
     if not values:
         raise ValidationError("values must be nonempty")
     workers = _resolve_workers(config)
@@ -702,6 +697,11 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
     (the comparison isolates the estimator); all estimators see the same
     observations, so the MSE gaps are paired.
     """
+    check_count(num_devices, "num_devices")
+    check_count(trials, "trials")
+    check_count(seed, "seed", 0)
+    if responsibility_noise_var is not None:
+        check_real(responsibility_noise_var, "responsibility_noise_var", 0)
     records = []
     mean_var = float(np.mean(prior.variances))
     for v_idx, snr_db in enumerate(snr_grid_db):

@@ -21,9 +21,10 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
   z_n of the received MD.
 
 `solve_batch` runs all six designs -- these four and the two baselines
-(equal power, capped channel inversion) -- on a stack of instances; the
-single-instance functions are its B=1 case.  The receive rule, MSE and
-MD formulas are the kernels of `channel`.
+(equal power, capped channel inversion) -- on a stack of instances.
+`solve(inst, name)` runs any of them on one instance at B=1 and builds
+every SolveReport; the four functions above are calls to it.  The
+receive rule, MSE and MD formulas are the kernels of `channel`.
 
 All quantities are real magnitudes.  `moments` fields hold the second
 moments nu^2 of the transmitted estimates, `est_vars` the per-device
@@ -32,9 +33,7 @@ estimate variances sigma_hat^2.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ from .channel import (
     mse_min_rx,
     receive_rule,
 )
-from .validation import ValidationError, as_matrix, as_vector, check_finite
+from .validation import ValidationError, as_matrix, as_vector, check_count
 
 # Newton steps of the per-device multiplier root (`_DualCore._lambda_for`).
 # A fixed count keeps every root bit-identical however instances are
@@ -74,6 +73,29 @@ SOLVER_NAMES = ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal",
 TDM_SOLVERS = ("tdm_mse", "tdm_md")
 
 
+def _check_data(noise_name, noise_positive, gains, budgets, moments, est_vars,
+                noise, delta):
+    """The data rules of the instance classes and `solve_batch`: gains,
+    budgets, moments and est_vars finite and > 0, delta finite and >= 0,
+    the noise finite and > 0 if `noise_positive` (FdmInstance, the FDM dual
+    solvers), else >= 0.  A `ValidationError` names the first breach."""
+    for name, arr, positive in (("gains", gains, True), ("budgets", budgets, True),
+                                ("moments", moments, True), ("est_vars", est_vars, True),
+                                (noise_name, noise, noise_positive), ("delta", delta, False)):
+        arr = np.asarray(arr, dtype=np.float64)
+        ok = ((arr > 0) if positive else (arr >= 0)) & (arr < np.inf)
+        if not np.all(ok):
+            raise ValidationError(f"{name} must be finite and {'>' if positive else '>='} 0,"
+                                  f" got {float(arr[~ok][0])!r}")
+
+
+def _freeze(inst, **arrays):
+    """Set the checked arrays on a frozen instance, read-only."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(inst, name, arr)
+
+
 @dataclass(frozen=True)
 class TdmInstance:
     """Per-slot TDM problem data (the slot repeats across the frame).
@@ -96,21 +118,9 @@ class TdmInstance:
         budgets = as_vector(self.budgets, "budgets", length=K)
         moments = as_vector(self.moments, "moments", length=K)
         est_vars = as_vector(self.est_vars, "est_vars", length=K)
-        for name, arr in (("gains", gains), ("budgets", budgets),
-                          ("moments", moments), ("est_vars", est_vars)):
-            check_finite(arr, name)
-            if np.any(arr <= 0):
-                raise ValidationError(f"{name} must be strictly positive")
-        if not np.isfinite(self.noise_var) or self.noise_var < 0:
-            raise ValidationError(f"noise_var must be >= 0, got {self.noise_var}")
-        if not np.isfinite(self.delta) or self.delta < 0:
-            raise ValidationError(f"delta must be >= 0, got {self.delta}")
-        for arr in (gains, budgets, moments, est_vars):
-            arr.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "est_vars", est_vars)
+        _check_data("noise_var", False, gains, budgets, moments, est_vars,
+                    self.noise_var, self.delta)
+        _freeze(self, gains=gains, budgets=budgets, moments=moments, est_vars=est_vars)
         object.__setattr__(self, "noise_var", float(self.noise_var))
         object.__setattr__(self, "delta", float(self.delta))
 
@@ -137,34 +147,16 @@ class FdmInstance:
         budgets = as_vector(self.budgets, "budgets", length=K)
         moments = as_matrix(self.moments, "moments", shape=(K, N))
         est_vars = as_matrix(self.est_vars, "est_vars", shape=(K, N))
-        delta = self.delta
-        delta = np.zeros(N) if delta is None else as_vector(delta, "delta", length=N)
-        for name, arr in (("gains", gains), ("budgets", budgets),
-                          ("moments", moments), ("est_vars", est_vars)):
-            check_finite(arr, name)
-            if np.any(arr <= 0):
-                raise ValidationError(f"{name} must be strictly positive")
-        check_finite(delta, "delta")
-        if np.any(delta < 0):
-            raise ValidationError("delta must be nonnegative")
-        if not np.isfinite(self.noise_var) or self.noise_var <= 0:
-            raise ValidationError(f"noise_var must be > 0, got {self.noise_var}")
-        for arr in (gains, budgets, moments, est_vars, delta):
-            arr.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "est_vars", est_vars)
-        object.__setattr__(self, "delta", delta)
+        delta = np.zeros(N) if self.delta is None else as_vector(self.delta, "delta", length=N)
+        _check_data("noise_var", True, gains, budgets, moments, est_vars,
+                    self.noise_var, delta)
+        _freeze(self, gains=gains, budgets=budgets, moments=moments, est_vars=est_vars,
+                delta=delta)
         object.__setattr__(self, "noise_var", float(self.noise_var))
 
     @property
     def num_devices(self) -> int:
         return self.gains.shape[0]
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.gains.shape[1]
 
 
 @dataclass
@@ -180,23 +172,6 @@ class SolveReport:
     kkt_residual: float
     converged: bool
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "kkt_residual": self.kkt_residual,
-            "converged": self.converged,
-            "tx": self.design.tx.tolist(),
-            "rx": self.design.rx.tolist(),
-            "scheme": self.design.scheme,
-            "extras": self.extras,
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +189,6 @@ def _arrays(inst):
         return (inst.gains, inst.budgets, inst.moments, inst.est_vars,
                 inst.noise_var, inst.delta, "fdm")
     raise ValidationError(f"unsupported instance type {type(inst).__name__}")
-
-
-def _stack(inst):
-    """The instance as a batch of one: (gains, budgets, moments, est_vars,
-    noise, delta) with a leading axis of length 1."""
-    g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
-    return (g[None], budgets[None], moments[None], sv[None],
-            np.array([noise]), delta[None])
 
 
 def rx_mse_optimal(inst, tx) -> np.ndarray:
@@ -277,6 +244,9 @@ def _tdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
     a fresh `np.sum` over its devices: a cumulative sum rounds differently
     from numpy's pairwise sum once K >= 8.
     """
+    if gains.shape[2] != 1:
+        raise ValidationError(f"tdm_{kind} designs one TDM slot; gains have "
+                              f"{gains.shape[2]} columns")
     h, mom, sv = gains[:, :, 0], moments[:, :, 0], est_vars[:, :, 0]
     B, K = h.shape
     rows = np.arange(B)
@@ -334,23 +304,11 @@ def _tdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
     return b[..., None], rx, kkt, {"tau": tau, "order": order}
 
 
-def _tdm_report(kind, inst: TdmInstance, objective) -> SolveReport:
-    tx, rx, kkt, extras = _tdm_batch(kind, *_stack(inst))
-    design = _make_design(inst, tx[0], rx[0])
-    kkt_val = float(kkt[0])
-    return SolveReport(
-        design=design, objective=objective(inst, design),
-        iterations=inst.num_devices, kkt_residual=kkt_val,
-        converged=bool(kkt_val <= KKT_TOL),
-        extras={key: value[0].tolist() for key, value in extras.items()},
-    )
-
-
 def tdm_mse_optimal(inst: TdmInstance) -> SolveReport:
     """Threshold-structured MSE-optimal per-slot design (`_tdm_batch` at
     B=1); extras name the threshold index, the receive scale a*, the
     device order and the full-power mask."""
-    return _tdm_report("mse", inst, design_mse)
+    return solve(inst, "tdm_mse")
 
 
 def tdm_md_optimal(inst: TdmInstance) -> SolveReport:
@@ -361,7 +319,7 @@ def tdm_md_optimal(inst: TdmInstance) -> SolveReport:
     reformulation onto c_k = h_k b_k requires it); heterogeneous instances
     must go through brute_force_oracle.
     """
-    return _tdm_report("md", inst, design_md)
+    return solve(inst, "tdm_md")
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +541,9 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
     est_vars = full(est_vars, (B, K, N))
     noise = full(noise, (B,))
     delta = full(delta, (B, N))
-    # The rules of FdmInstance and TdmInstance; only the FDM dual solvers
-    # need noise > 0, as FdmInstance does.
-    noise_positive = name in ("fdm_mse", "fdm_md")
-    for arg, arr, positive in (("gains", gains, True), ("budgets", budgets, True),
-                               ("moments", moments, True), ("est_vars", est_vars, True),
-                               ("noise", noise, noise_positive), ("delta", delta, False)):
-        if not np.all(((arr > 0) if positive else (arr >= 0)) & (arr < np.inf)):
-            raise ValidationError(
-                f"{arg} must be finite and {'> 0' if positive else '>= 0'} in every instance")
+    _check_data("noise", name in ("fdm_mse", "fdm_md"), gains, budgets, moments,
+                est_vars, noise, delta)
     if name in TDM_SOLVERS:
-        if N != 1:
-            raise ValidationError(f"{name} designs one TDM slot; gains have {N} columns")
         tx, rx, kkt, _ = _tdm_batch(name[4:], gains, budgets, moments, est_vars,
                                     noise, delta)
         return tx, rx, kkt
@@ -616,19 +565,7 @@ def fdm_mse_dual(inst: FdmInstance) -> SolveReport:
     drives the joint KKT system to root-solver accuracy; the duals and
     the dual objective are reported alongside the design.
     """
-    lam, _, tx, rx, kkt = _fdm_batch("mse", *_stack(inst))
-    tx, rx, lam = tx[0], rx[0], lam[0]
-    design = _make_design(inst, tx, rx)
-    objective = design_mse(inst, design)
-    kkt_val = float(kkt[0])
-    dual_value = _dual_value_mse(inst, lam, rx * rx)
-    return SolveReport(
-        design=design, objective=objective, iterations=POLISH_SWEEPS,
-        kkt_residual=kkt_val, converged=bool(kkt_val <= KKT_TOL),
-        extras={"duals": lam.tolist(), "rx_power": (rx * rx).tolist(),
-                "dual_value": dual_value,
-                "duality_gap": objective - dual_value},
-    )
+    return solve(inst, "fdm_mse")
 
 
 def _dual_value_mse(inst: FdmInstance, lam, r) -> float:
@@ -648,31 +585,16 @@ def fdm_md_optimal(inst: FdmInstance) -> SolveReport:
     The receive coefficients do not affect the MD and are set to the
     MSE-minimizing rule so the design can still be decoded.
     """
-    if np.all(inst.delta <= 0):
-        raise ValidationError("fdm_md_optimal requires delta > 0 on some subcarrier")
-    lam, z, tx, rx, kkt = _fdm_batch("md", *_stack(inst))
-    tx, z = tx[0], z[0]
-    design = _make_design(inst, tx, rx[0])
-    objective = design_md(inst, design)
-    kkt_val = float(kkt[0])
-    return SolveReport(
-        design=design, objective=objective, iterations=POLISH_SWEEPS,
-        kkt_residual=kkt_val, converged=bool(kkt_val <= KKT_TOL),
-        extras={"duals": lam[0].tolist(), "z": z.tolist(),
-                "z_consistency": _z_consistency(inst, tx, z)},
-    )
+    return solve(inst, "fdm_md")
 
 
-def _z_consistency(inst: FdmInstance, tx, z) -> float:
-    """Residual of z_n = sum|h b| / (sum |h b|^2 shat^2 + noise), relative
-    to the largest auxiliary (subcarriers shut off by the solver carry
-    vanishing z and must not dominate the check).  The same residual over
-    the smaller scale max|z_check| is part of the KKT residual."""
-    g, _, _, sv, noise, _, _ = _arrays(inst)
-    hb = g * tx
-    num = np.sum(hb, axis=0)
-    den = np.sum(hb * hb * sv, axis=0) + noise
-    z_chk = num / den
+def _z_consistency(batch, tx, z) -> float:
+    """Residual of the returned auxiliary z against `_DualCore.z_update`
+    at the design (B=1), relative to the largest auxiliary (subcarriers
+    shut off by the solver carry vanishing z and must not dominate the
+    check).  The same residual over the smaller scale max|z_check| is
+    part of the KKT residual."""
+    z_chk, z = _DualCore(*batch).z_update(tx)[0], z[0]
     scale = max(float(np.max(z_chk)), float(np.max(z)), TINY)
     return float(np.max(np.abs(z - z_chk)) / scale)
 
@@ -726,12 +648,6 @@ def _params_to_tx(params, budgets, moments, out):
     np.sqrt(s * t * budgets / moments[:, 0], out=out[..., 0])
     np.sqrt(s * (1.0 - t) * budgets / moments[:, 1], out=out[..., 1])
     return out
-
-
-def _check_count(value, name, least):
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-            or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _grid_starts(value, grid_resolution, budgets, moments):
@@ -788,8 +704,8 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
     """
     if objective not in ("mse", "md"):
         raise ValidationError(f"objective must be 'mse' or 'md', got {objective!r}")
-    _check_count(grid_resolution, "grid_resolution", 1)
-    _check_count(refine_sweeps, "refine_sweeps", 0)
+    check_count(grid_resolution, "grid_resolution")
+    check_count(refine_sweeps, "refine_sweeps", 0)
     g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
     K, N = g.shape
     if K * N > 6:
@@ -884,7 +800,8 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
     small instances, plus the structural invariants (feasibility, TDM
     design equivalence under homogeneous variances, FDM objective
     dominance).  Returns (name, passed, detail) triples."""
-    _check_count(n_instances, "instances", 1)
+    check_count(n_instances, "instances")
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -945,17 +862,38 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 def solve(inst, solver: str) -> SolveReport:
-    """Run any of SOLVER_NAMES on one instance and return a SolveReport.
-    The baselines (the equal power split, and channel inversion capped by
-    it, both under the MSE-optimal receive rule) report their realized MSE
-    as the objective."""
-    designed = {"tdm_mse": tdm_mse_optimal, "tdm_md": tdm_md_optimal,
-                "fdm_mse": fdm_mse_dual, "fdm_md": fdm_md_optimal}
-    if solver in designed:
-        return designed[solver](inst)
-    if solver not in SOLVER_NAMES:
-        raise ValidationError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
-    tx, rx, _ = solve_batch(solver, *_stack(inst))
+    """SolveReport of any of SOLVER_NAMES on one instance, from
+    `_tdm_batch`, `_fdm_batch` or (the baselines: the equal power split,
+    and channel inversion capped by it) `solve_batch` at B=1.  The
+    objective is the received MD for the MD designs, else the realized
+    MSE.  Iterations count the devices (TDM), the polish sweeps (FDM) or
+    zero; extras: threshold index, a*, device order and full-power mask
+    (tdm_mse); cap tau and order (tdm_md); duals, receive powers, dual
+    value and duality gap (fdm_mse); duals, z and z-consistency (fdm_md).
+    """
+    g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
+    batch = (g[None], budgets[None], moments[None], sv[None], np.array([noise]), delta[None])
+    iterations, extras = 0, {}
+    if solver in TDM_SOLVERS:
+        tx, rx, kkt, extras = _tdm_batch(solver[4:], *batch)
+        iterations = inst.num_devices
+    elif solver in ("fdm_mse", "fdm_md"):
+        if solver == "fdm_md" and np.all(delta <= 0):
+            raise ValidationError("fdm_md_optimal requires delta > 0 on some subcarrier")
+        lam, aux, tx, rx, kkt = _fdm_batch(solver[4:], *batch)
+        iterations = POLISH_SWEEPS
+        extras = {"duals": lam, "rx_power": rx * rx} if solver == "fdm_mse" \
+            else {"duals": lam, "z": aux}
+    else:
+        tx, rx, kkt = solve_batch(solver, *batch)
     design = _make_design(inst, tx[0], rx[0])
-    return SolveReport(design=design, objective=design_mse(inst, design),
-                       iterations=0, kkt_residual=0.0, converged=True, extras={})
+    objective = (design_md if solver.endswith("_md") else design_mse)(inst, design)
+    extras = {key: value[0].tolist() for key, value in extras.items()}
+    if solver == "fdm_mse":
+        dual_value = _dual_value_mse(inst, lam[0], rx[0] * rx[0])
+        extras.update(dual_value=dual_value, duality_gap=objective - dual_value)
+    elif solver == "fdm_md":
+        extras["z_consistency"] = _z_consistency(batch, tx, aux)
+    kkt = float(kkt[0])
+    return SolveReport(design=design, objective=objective, iterations=iterations,
+                       kkt_residual=kkt, converged=bool(kkt <= KKT_TOL), extras=extras)

@@ -1,5 +1,8 @@
 """Shared input validation helpers and error types."""
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -38,3 +41,28 @@ def check_finite(arr, name):
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_count(value, name, least=1):
+    """value if it is an integer >= least (bools are not counts)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name, least=-math.inf, strict=False):
+    """value as a float if it is a finite real number >= least (> least
+    when strict)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or not math.isfinite(value) or value < least or (strict and value == least):
+        bound = "" if least == -math.inf else f" and {'>' if strict else '>='} {least:g}"
+        raise ValidationError(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
+
+
+def check_reals(values, name, least=-math.inf, strict=False):
+    """A list, tuple or array of check_real values, as a tuple of floats."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(check_real(v, name, least, strict) for v in values)

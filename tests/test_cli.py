@@ -1,6 +1,8 @@
 """CLI subcommand tests: exit codes, outputs, determinism."""
 
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -215,3 +217,57 @@ class TestValidateSolvers:
         cfg = write_config(tmp_path, "val.json", {"instances": instances})
         assert main(["validate-solvers", "--config", cfg]) == 2
         assert "instances" in capsys.readouterr().err
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+COMMANDS = {"accuracy_sweep": "accuracy-sweep", "device_scaling": "accuracy-sweep",
+            "entropy_report": "entropy-report", "estimator_sweep": "estimator-sweep",
+            "fdm_compare": "fdm-compare", "tdm_compare": "tdm-compare"}
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _spoiled(value, bad):
+    """Copies of a config value with one number replaced by `bad`: the
+    value itself if it is a number, else the first entry of each numeric
+    list inside it."""
+    if _is_number(value):
+        yield bad
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            if _is_number(item):
+                if i == 0:
+                    yield [bad] + value[1:]
+            else:
+                for spoiled in _spoiled(item, bad):
+                    yield value[:i] + [spoiled] + value[i + 1:]
+
+
+def _fuzz_cases():
+    """(subcommand, key, config) for every reference config, with `trials`
+    cut to 3 and a small calibration where the config takes one, and one
+    numeric value replaced by "x" or NaN."""
+    cases = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        command = COMMANDS[path.stem]
+        data = json.loads(path.read_text())
+        if "trials" in data:
+            data["trials"] = 3
+        if command in ("accuracy-sweep", "fdm-compare", "tdm-compare"):
+            data["calibration_samples"] = 200
+        for key, value in data.items():
+            for bad in ("x", math.nan):
+                for n, spoiled in enumerate(_spoiled(value, bad)):
+                    cases.append(pytest.param(command, key, data | {key: spoiled},
+                                              id=f"{path.stem}-{key}-{n}-{bad}"))
+    return cases
+
+
+class TestReferenceConfigFuzz:
+    @pytest.mark.parametrize("command, key, data", _fuzz_cases())
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, key, data):
+        cfg = write_config(tmp_path, "fuzz.json", data)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 2
+        assert key in capsys.readouterr().err

@@ -65,6 +65,12 @@ class TestConfig:
         ("min_md_target", float("nan")), ("min_md_target", 0.0), ("min_md_target", -1.0),
         ("sensing_vars", (float("nan"), 0.1, 0.1)), ("sensing_vars", (0.1, float("inf"), 0.1)),
         ("solver_opts", {"kkt_tol": float("nan")}), ("solver_opts", {"kkt_tol": float("inf")}),
+        ("sensing_vars", ("a", 0.1, 0.1)),
+        *[(name, bad) for name in ("seed", "prior_seed") for bad in ("x", float("nan"), -1)],
+        ("sensing_spread", float("nan")), ("sensing_spread", 0.5),
+        ("exclusion_limit", "x"), ("exclusion_limit", float("nan")),
+        ("responsibility_noise_var", -1), ("responsibility_noise_var", float("nan")),
+        ("workers", "x"), ("workers", 0), ("workers", -3), ("workers", 2.7),
     ])
     def test_bad_numbers_name_the_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -200,6 +206,12 @@ class TestSweep:
         assert a.md_mean == b.md_mean
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
+    @pytest.mark.parametrize("env", ["0", "-4", "x", "2.7"])
+    def test_bad_workers_env_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv(pipeline.WORKERS_ENV, env)
+        with pytest.raises(ValidationError, match=pipeline.WORKERS_ENV):
+            sweep(tiny_config(trials=2), "comm_snr", [10.0])
+
     def test_workers_env_variable(self, monkeypatch):
         monkeypatch.setenv(pipeline.WORKERS_ENV, "2")
         cfg = tiny_config(trials=30)
@@ -239,6 +251,15 @@ class TestSweep:
         with pytest.raises(NonConvergenceError,
                            match=r"comm_snr=10.0: 20/20 trials of solver 'fdm_mse'"):
             sweep(cfg, "comm_snr", [10.0])
+
+    @pytest.mark.parametrize("variable, value", [
+        ("K", 2.5), ("K", "x"), ("K", float("nan")), ("K", 0), ("N", 4.9), ("N", True),
+        ("comm_snr", "x"), ("comm_snr", float("nan")), ("sensing_snr", float("inf")),
+    ])
+    def test_bad_values_name_sweep_values(self, variable, value):
+        # K = 2.5 used to run K = 2 and report 2.5
+        with pytest.raises(ValidationError, match="sweep_values"):
+            sweep(tiny_config(trials=2), variable, [value])
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
@@ -300,6 +321,17 @@ class TestEstimatorSweep:
                 assert rec.acc["rwb"] >= rec.acc["ml"] - band
             if rec.sensing_snr_db >= 15:
                 assert abs(rec.acc["rwb"] - rec.acc["ml"]) <= band
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"trials": 0}, "trials"), ({"num_devices": 0}, "num_devices"),
+        ({"num_devices": -1}, "num_devices"), ({"seed": -1}, "seed"),
+    ])
+    def test_bad_counts_name_the_argument(self, kwargs, name):
+        # trials = 0 used to write rows of nan, num_devices = -1 to raise IndexError
+        args = {"num_devices": 2, "trials": 10, "seed": 0} | kwargs
+        with pytest.raises(ValidationError, match=name):
+            pipeline.estimator_sweep(default_prior(), args["num_devices"], [0.0],
+                                     args["trials"], args["seed"])
 
     def test_export(self, tmp_path):
         prior = default_prior()

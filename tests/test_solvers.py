@@ -409,6 +409,17 @@ class TestSolveBatch:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"^{arg} must be finite"):
                 solve_batch(name, **batch)
+        # The instance classes apply the same rules to the same value.
+        g, budgets, moments, est_vars, noise, delta = (batch[key][-1] for key in batch)
+        if name.startswith("tdm"):
+            cls, g, moments, est_vars, delta = (TdmInstance, g[:, 0], moments[:, 0],
+                                                est_vars[:, 0], delta[0])
+        else:
+            cls = FdmInstance
+        field = "noise_var" if arg == "noise" else arg
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            cls(gains=g, budgets=budgets, moments=moments, est_vars=est_vars,
+                noise_var=noise, delta=delta)
 
     @pytest.mark.parametrize("name", ["tdm_mse", "equal", "channel_inversion"])
     def test_zero_noise_is_allowed_where_tdm_instances_allow_it(self, name):
@@ -801,14 +812,3 @@ class TestRxHelpers:
             assert total(rx * bump) >= best - 1e-12
         assert total(rx) == pytest.approx(
             np.sum(mse_min_rx(inst.gains, tx, inst.est_vars, inst.noise_var)), rel=1e-12)
-
-    def test_solve_report_serialization(self, tmp_path):
-        rng = np.random.default_rng(22)
-        inst = random_fdm_instance(rng, 2, 2)
-        rep = fdm_mse_dual(inst)
-        path = tmp_path / "report.json"
-        rep.save(path)
-        import json
-        doc = json.loads(path.read_text())
-        assert doc["objective"] == rep.objective
-        assert doc["converged"] is True
