@@ -20,14 +20,22 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import entropy, pipeline, solvers
 from .channel import md_received, mse_at_rx
-from .validation import NonConvergenceError, ValidationError, check_count, check_reals
+from .validation import (
+    NonConvergenceError,
+    ValidationError,
+    check_count,
+    check_list,
+    check_reals,
+)
 
 _DOM_COMPARE = 5
+_EXPERIMENT_KEYS = frozenset(f.name for f in fields(pipeline.ExperimentConfig))
 
 
 class UsageError(Exception):
@@ -39,14 +47,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys) -> dict:
+    """The JSON object in `path`, whose keys must all be in `keys`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"config {path} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown config keys: {unknown}")
+    return data
 
 
 def _fmt(x) -> str:
@@ -62,11 +77,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _experiment_config(data: dict, seed_override=None) -> pipeline.ExperimentConfig:
-    data = dict(data)
-    data.pop("sweep_variable", None)
-    data.pop("sweep_values", None)
     if seed_override is not None:
-        data["seed"] = int(seed_override)
+        data = dict(data, seed=int(seed_override))
     return pipeline.ExperimentConfig.from_dict(data)
 
 
@@ -75,7 +87,9 @@ def _experiment_config(data: dict, seed_override=None) -> pipeline.ExperimentCon
 # ---------------------------------------------------------------------------
 
 def _cmd_estimator_sweep(args) -> int:
-    data = _load_config(args.config)
+    data = _load_config(args.config, {"trials", "seed", "num_devices", "sensing_snr_grid_db",
+                                      "num_classes", "feature_dim", "min_md_target",
+                                      "prior_seed"})
     seed = args.seed if args.seed is not None else data.get("seed", 0)
     prior = pipeline.default_prior(
         check_count(data.get("num_classes", 5), "num_classes"),
@@ -87,20 +101,18 @@ def _cmd_estimator_sweep(args) -> int:
                                 [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]),
                        "sensing_snr_grid_db")
     records = pipeline.estimator_sweep(
-        prior, data.get("num_devices", 3), grid, data.get("trials", 20000), seed,
-        responsibility_noise_var=data.get("responsibility_noise_var"),
-    )
+        prior, data.get("num_devices", 3), grid, data.get("trials", 20000), seed)
     pipeline.export_estimator_sweep(records, args.output)
     return 0
 
 
 def _cmd_entropy_report(args) -> int:
-    data = _load_config(args.config)
+    data = _load_config(args.config, {"prior_var", "sensing_var_sets"})
     if "sensing_var_sets" not in data:
         raise ValidationError("entropy-report config needs 'sensing_var_sets'")
     prior_var = data.get("prior_var", 1.0)
     rows = []
-    for idx, sv in enumerate(data["sensing_var_sets"]):
+    for idx, sv in enumerate(check_list(data["sensing_var_sets"], "sensing_var_sets")):
         sv = check_reals(sv, "sensing_var_sets", 0, strict=True)
         rep = entropy.entropy_report(prior_var, sv)
         rows.append([idx, " ".join(_fmt(v) for v in sv),
@@ -120,12 +132,16 @@ def _rayleigh_draws(config, v_idx, size) -> np.ndarray:
     return gains
 
 
-def _compare(args, columns, statistics) -> int:
+def _compare(args, scheme, columns, statistics) -> int:
     """Mean MSE and MD of each (tag, solver) design in `columns` over
-    seeded channel draws per communication SNR.  `statistics(ctx)` gives
-    the (moments, est_vars, delta) the designs are solved and evaluated
-    on; its moments' shape sets the per-trial draw."""
-    config = _experiment_config(_load_config(args.config), args.seed)
+    seeded channel draws per communication SNR, for a config of the given
+    `scheme`.  `statistics(ctx)` gives the (moments, est_vars, delta) the
+    designs are solved and evaluated on; its moments' shape sets the
+    per-trial draw."""
+    config = _experiment_config(_load_config(args.config, _EXPERIMENT_KEYS), args.seed)
+    if config.scheme != scheme:
+        raise ValidationError(
+            f"{args.command} needs scheme {scheme!r}, got {config.scheme!r}")
     header = ["comm_snr_db"]
     for tag, _ in columns:
         header += [f"mse_{tag}", f"md_{tag}"]
@@ -159,20 +175,20 @@ def _cmd_tdm_compare(args) -> int:
                 np.full((ctx.nu2.shape[0], 1), ctx.sigma_hat.mean()),
                 np.array([ctx.delta.mean()]))
 
-    return _compare(args, (("comp", "tdm_mse"), ("dec", "tdm_md")), slot)
+    return _compare(args, "tdm", (("comp", "tdm_mse"), ("dec", "tdm_md")), slot)
 
 
 def _cmd_fdm_compare(args) -> int:
     """MSE and MD of the two FDM designs plus the baselines."""
-    return _compare(args, (("comp", "fdm_mse"), ("dec", "fdm_md"), ("equal", "equal"),
-                           ("inv", "channel_inversion")),
+    return _compare(args, "fdm", (("comp", "fdm_mse"), ("dec", "fdm_md"),
+                                  ("equal", "equal"), ("inv", "channel_inversion")),
                     lambda ctx: (ctx.nu2, ctx.sigma_hat, ctx.delta))
 
 
 def _cmd_accuracy_sweep(args) -> int:
-    data = _load_config(args.config)
-    variable = data.get("sweep_variable", "comm_snr")
-    values = data.get("sweep_values")
+    data = _load_config(args.config, _EXPERIMENT_KEYS | {"sweep_variable", "sweep_values"})
+    variable = data.pop("sweep_variable", "comm_snr")
+    values = data.pop("sweep_values", None)
     config = _experiment_config(data, args.seed)
     records = pipeline.sweep(config, variable, values)
     pipeline.export(records, args.output)
@@ -180,7 +196,7 @@ def _cmd_accuracy_sweep(args) -> int:
 
 
 def _cmd_validate_solvers(args) -> int:
-    data = _load_config(args.config) if args.config else {}
+    data = _load_config(args.config, {"instances", "seed"}) if args.config else {}
     n_inst = data.get("instances", 20)
     seed = args.seed if args.seed is not None else data.get("seed", 0)
     checks = solvers.oracle_validation_suite(n_inst, seed)

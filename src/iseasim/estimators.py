@@ -53,16 +53,14 @@ def mmse_posterior_var(prior, sensing_var):
     return v * sensing_var / (v + sensing_var)
 
 
-def rwb_estimate_batch(prior, X_tilde, sensing_var, responsibility_noise_var=None):
-    """Responsibility-weighted Bayesian estimates for rows of X_tilde.
+def rwb_estimate_batch(prior, X_tilde, sensing_var):
+    """Responsibility-weighted Bayesian estimates for rows of X_tilde, with
+    the responsibilities computed under the true sensing variance.
 
-    Returns (X_hat, posterior_var), each of shape (n, M).  The noise
-    variance used inside the responsibilities may differ from the true
-    sensing variance (it is a tunable knob); it defaults to the true one.
+    Returns (X_hat, posterior_var), each of shape (n, M).
     """
     X_tilde = np.atleast_2d(np.asarray(X_tilde, dtype=np.float64))
-    resp_var = sensing_var if responsibility_noise_var is None else responsibility_noise_var
-    theta = responsibilities_batch(prior, X_tilde, resp_var)  # (n, L)
+    theta = responsibilities_batch(prior, X_tilde, sensing_var)  # (n, L)
     v = prior.variances
     s = sensing_var
     shrink = v / (v + s)                                  # (M,)
@@ -74,8 +72,7 @@ def rwb_estimate_batch(prior, X_tilde, sensing_var, responsibility_noise_var=Non
     return x_hat, post_var
 
 
-def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None,
-                   responsibility_noise_var=None):
+def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None):
     """Vectorized estimator dispatch; returns (X_hat, posterior_var)."""
     if tag not in ESTIMATOR_TAGS:
         raise ValidationError(f"unknown estimator tag {tag!r}")
@@ -92,4 +89,4 @@ def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None,
         x_hat = _mmse_shrink(prior, X_tilde, labels, sensing_var)
         pv = np.broadcast_to(mmse_posterior_var(prior, sensing_var), (n, M)).copy()
         return x_hat, pv
-    return rwb_estimate_batch(prior, X_tilde, sensing_var, responsibility_noise_var)
+    return rwb_estimate_batch(prior, X_tilde, sensing_var)

@@ -38,6 +38,7 @@ from .validation import (
     NonConvergenceError,
     ValidationError,
     check_count,
+    check_list,
     check_real,
     check_reals,
 )
@@ -56,7 +57,12 @@ SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K", "N")
 # ExperimentConfig fields that count something and must be integers >= 1.
 _COUNT_FIELDS = ("num_classes", "feature_dim", "num_devices", "num_subcarriers",
                  "trials", "calibration_samples")
-DECODE_MODES = ("gated", "gain", "mean")
+# Gated decode erases an element whose post-decode noise variance exceeds
+# this many mean prior variances.
+ERASURE_FACTOR = 9.0
+# A sweep point fails when more than this share of its trials miss the
+# KKT gate.
+EXCLUSION_LIMIT = 0.01
 
 # Default per-trial convergence gate (solver_opts["kkt_tol"]): the refined
 # designs reach their objective to ~1e-8 well before the stationarity
@@ -83,16 +89,10 @@ class ExperimentConfig:
     comm_snr_db: tuple = (-20.0, -10.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
     sensing_snr_db: float = 10.0
     sensing_vars: tuple = None
-    sensing_spread: float = 2.0
-    prior_path: str = None
     prior_seed: int = 1234
     min_md_target: float = 4.0
-    responsibility_noise_var: float = None
     calibration_samples: int = 10000
-    decode: str = "gated"
-    erasure_factor: float = 9.0
     workers: int = None
-    exclusion_limit: float = 0.01
     solver_opts: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -103,14 +103,9 @@ class ExperimentConfig:
         if self.workers is not None:
             check_count(self.workers, "workers")
         object.__setattr__(self, "comm_snr_db", check_reals(self.comm_snr_db, "comm_snr_db"))
-        for name, least, strict in (("noise_var", 0, True), ("erasure_factor", 0, True),
-                                    ("min_md_target", 0, True),
-                                    ("sensing_snr_db", -math.inf, False),
-                                    ("sensing_spread", 1, False),
-                                    ("exclusion_limit", 0, False)):
-            check_real(getattr(self, name), name, least, strict)
-        if self.responsibility_noise_var is not None:
-            check_real(self.responsibility_noise_var, "responsibility_noise_var", 0)
+        check_real(self.noise_var, "noise_var", 0, strict=True)
+        check_real(self.min_md_target, "min_md_target", 0, strict=True)
+        check_real(self.sensing_snr_db, "sensing_snr_db")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.feature_dim > self.num_subcarriers:
@@ -127,22 +122,15 @@ class ExperimentConfig:
                 f"solver {self.solver!r} designs one TDM slot and cannot serve "
                 "scheme 'fdm', whose subcarriers fade independently"
             )
-        if self.decode not in DECODE_MODES:
-            raise ValidationError(f"decode must be one of {DECODE_MODES}")
-        if self.exclusion_limit > 1.0:
-            raise ValidationError("exclusion_limit must lie in [0, 1]")
+        if not isinstance(self.solver_opts, dict):
+            raise ValidationError(f"solver_opts must be a JSON object, got {self.solver_opts!r}")
         unknown = sorted(set(self.solver_opts) - {"kkt_tol"})
         if unknown:
             raise ValidationError(
                 f"unknown solver_opts keys: {unknown}; only 'kkt_tol' is accepted"
             )
-        try:
-            kkt_tol = float(self.solver_opts.get("kkt_tol", KKT_GATE))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("solver_opts kkt_tol must be a number") from exc
         # A negative gate is valid: it marks every trial as not converged.
-        if not math.isfinite(kkt_tol):
-            raise ValidationError(f"solver_opts kkt_tol must be finite, got {kkt_tol!r}")
+        check_real(self.solver_opts.get("kkt_tol", KKT_GATE), "solver_opts kkt_tol")
         if self.sensing_vars is not None:
             sv = check_reals(self.sensing_vars, "sensing_vars", 0)
             if len(sv) != self.num_devices:
@@ -181,14 +169,12 @@ class MetricsRecord:
 
 
 def default_prior(num_classes: int = 5, feature_dim: int = 4,
-                  min_md_target: float = 4.0, seed: int = 1234,
-                  dim_decay: float = 0.7,
-                  jitter: float = 0.15) -> GaussianMixturePrior:
+                  min_md_target: float = 4.0, seed: int = 1234) -> GaussianMixturePrior:
     """Synthetic prior: unit variances, uniform mixing, class means laid
     out as independently permuted equally spaced grids per dimension with
-    seeded Gaussian jitter, geometrically decaying dimension scales, and
-    a global rescale that pins the minimum pairwise Mahalanobis distance
-    to min_md_target.
+    seeded Gaussian jitter (standard deviation 0.15), dimension scales
+    decaying by a factor 0.7 per dimension, and a global rescale that pins
+    the minimum pairwise Mahalanobis distance to min_md_target.
 
     The graded-grid layout mirrors the geometry of principal-component
     features: leading dimensions separate every class pair more than
@@ -201,8 +187,8 @@ def default_prior(num_classes: int = 5, feature_dim: int = 4,
     grid -= grid.mean()
     means = np.empty((num_classes, feature_dim))
     for m in range(feature_dim):
-        layout = rng.permutation(grid) + jitter * rng.standard_normal(num_classes)
-        means[:, m] = layout * dim_decay ** m
+        layout = rng.permutation(grid) + 0.15 * rng.standard_normal(num_classes)
+        means[:, m] = layout * 0.7 ** m
     means -= means.mean(axis=0)
     prior0 = GaussianMixturePrior(
         means=means,
@@ -228,7 +214,7 @@ def target_sensing_vars(prior: GaussianMixturePrior, num_devices: int,
     if num_devices < 1:
         raise ValidationError(f"num_devices must be >= 1, got {num_devices}")
     if spread < 1.0:
-        raise ValidationError("sensing_spread must be >= 1")
+        raise ValidationError(f"spread must be >= 1, got {spread!r}")
     mean_var = float(np.mean(prior.variances))
     rng = np.random.default_rng(seed)
     rho = rng.uniform(1.0 / spread, spread, size=num_devices)
@@ -246,7 +232,7 @@ class Calibration:
 
 
 def calibrate(prior: GaussianMixturePrior, sensing_vars, estimator: str,
-              n_samples: int, seed, responsibility_noise_var=None) -> Calibration:
+              n_samples: int, seed) -> Calibration:
     """Estimate sigma_hat^2 (mean posterior variance) and nu^2 (mean
     squared estimate) per device and feature dimension from a seeded
     offline sample run."""
@@ -261,8 +247,7 @@ def calibrate(prior: GaussianMixturePrior, sensing_vars, estimator: str,
     for k in range(K):
         X_tilde = observe_batch(X, sensing_vars[k], children[k + 1])
         X_hat, pv = estimate_batch(estimator, prior, X_tilde, sensing_vars[k],
-                                   labels=labels,
-                                   responsibility_noise_var=responsibility_noise_var)
+                                   labels=labels)
         sigma_hat[k] = np.maximum(pv.mean(axis=0), _EST_VAR_FLOOR)
         nu2[k] = np.maximum((X_hat * X_hat).mean(axis=0), _EST_VAR_FLOOR)
     return Calibration(sigma_hat=sigma_hat, nu2=nu2)
@@ -284,11 +269,8 @@ class TrialContext:
     nu2: np.ndarray
     delta: np.ndarray
     design_stats: tuple
-    decode: str
-    erasure_factor: float
     seed: int
     value_index: int
-    responsibility_noise_var: float
     kkt_tol: float
 
 
@@ -317,7 +299,8 @@ def build_context(config: ExperimentConfig, variable: str, value,
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
         )
 
-    prior = load_prior(cfg)
+    prior = default_prior(cfg.num_classes, cfg.feature_dim, cfg.min_md_target,
+                          cfg.prior_seed)
     if cfg.sensing_vars is not None:
         sensing_vars = np.asarray(cfg.sensing_vars, dtype=np.float64)
     else:
@@ -325,7 +308,6 @@ def build_context(config: ExperimentConfig, variable: str, value,
         sensing_vars = target_sensing_vars(
             prior, cfg.num_devices, cfg.sensing_snr_db,
             np.random.SeedSequence(cfg.seed, spawn_key=(_DOM_SENSING, draw_index)),
-            spread=cfg.sensing_spread,
         )
 
     if variable == "comm_snr":
@@ -342,7 +324,6 @@ def build_context(config: ExperimentConfig, variable: str, value,
     cal = calibrate(
         prior, sensing_vars, cfg.estimator, cfg.calibration_samples,
         np.random.SeedSequence(cfg.seed, spawn_key=(_DOM_CALIBRATION, value_index)),
-        responsibility_noise_var=cfg.responsibility_noise_var,
     )
     delta = discriminative_prior(prior).delta if prior.num_classes > 1 \
         else np.zeros(prior.feature_dim)
@@ -362,24 +343,9 @@ def build_context(config: ExperimentConfig, variable: str, value,
         noise_var=cfg.noise_var, scheme=cfg.scheme, estimator=cfg.estimator,
         solver=cfg.solver, num_subcarriers=cfg.num_subcarriers,
         sigma_hat=cal.sigma_hat, nu2=cal.nu2, delta=delta,
-        design_stats=design_stats,
-        decode=cfg.decode, erasure_factor=cfg.erasure_factor,
-        seed=cfg.seed, value_index=value_index,
-        responsibility_noise_var=cfg.responsibility_noise_var,
+        design_stats=design_stats, seed=cfg.seed, value_index=value_index,
         kkt_tol=float(cfg.solver_opts.get("kkt_tol", KKT_GATE)),
     )
-
-
-def load_prior(config: ExperimentConfig) -> GaussianMixturePrior:
-    if config.prior_path is not None:
-        prior = GaussianMixturePrior.load(config.prior_path)
-        if prior.num_classes != config.num_classes or prior.feature_dim != config.feature_dim:
-            raise ValidationError(
-                "prior file dimensions do not match the configured L, M"
-            )
-        return prior
-    return default_prior(config.num_classes, config.feature_dim,
-                         config.min_md_target, config.prior_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +391,7 @@ def _estimate_all(ctx: TrialContext, labels, X_tilde):
     for k in range(K):
         X_hat[:, k, :], _ = estimate_batch(
             ctx.estimator, ctx.prior, X_tilde[:, k, :], ctx.sensing_vars[k],
-            labels=labels,
-            responsibility_noise_var=ctx.responsibility_noise_var,
-        )
+            labels=labels)
     return X_hat
 
 
@@ -457,32 +421,22 @@ def _solve_designs(ctx: TrialContext, gains_used):
 
 
 def _decode(ctx: TrialContext, y_hat, rx, hb):
-    """Map the aggregated receive vector to classifier inputs; returns
-    (decoded, observed_mask).
+    """Gated decode of the aggregated receive vector; returns (decoded,
+    observed_mask).
 
-    gated (default): divide each element by the known aggregate gain
-        g_n = a_n sum_k h b (an unbiased convex combination of the device
-        estimates; g_n = K under exact unit-target alignment) and mark as
-        unobserved the elements whose post-decode noise variance
-        (a_n sigma_w / g_n)^2 exceeds erasure_factor times the mean prior
-        variance -- those carry noise rather than signal, and the
-        classifier marginalizes them out.
-    gain: the same normalization with every element kept.
-    mean: divide the aggregate by the device count K.
+    Each element is divided by the known aggregate gain g_n = a_n sum_k h b
+    (an unbiased convex combination of the device estimates; g_n = K under
+    exact unit-target alignment).  Elements whose post-decode noise
+    variance (a_n sigma_w / g_n)^2 exceeds ERASURE_FACTOR times the mean
+    prior variance carry noise rather than signal: they are marked
+    unobserved and set to 0, and the classifier marginalizes them out.
     """
-    T, M = y_hat.shape
-    if ctx.decode == "mean":
-        return y_hat / ctx.sensing_vars.shape[0], np.ones((T, M), dtype=bool)
     gain = rx * np.sum(hb, axis=1)
     safe = np.where(gain > 0, gain, 1.0)
-    decoded = np.where(gain > 0, y_hat / safe, 0.0)
-    if ctx.decode == "gain":
-        return decoded, np.ones((T, M), dtype=bool)
     with np.errstate(over="ignore"):
         noise_var = np.where(gain > 0, (rx / safe) ** 2 * ctx.noise_var, np.inf)
-    limit = ctx.erasure_factor * float(np.mean(ctx.prior.variances))
-    observed = noise_var <= limit
-    return np.where(observed, decoded, 0.0), observed
+    observed = noise_var <= ERASURE_FACTOR * float(np.mean(ctx.prior.variances))
+    return np.where(observed, y_hat / safe, 0.0), observed
 
 
 def run_trials_batch(ctx: TrialContext, trial_indices) -> dict:
@@ -570,10 +524,10 @@ def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> Metric
     converged = out["converged"]
     n_total = converged.size
     n_excluded = int(n_total - np.count_nonzero(converged))
-    if n_excluded > config.exclusion_limit * n_total:
+    if n_excluded > EXCLUSION_LIMIT * n_total:
         raise NonConvergenceError(
             f"{variable}={value}: {n_excluded}/{n_total} trials of solver "
-            f"{config.solver!r} failed to converge (limit {config.exclusion_limit:.0%})"
+            f"{config.solver!r} failed to converge (limit {EXCLUSION_LIMIT:.0%})"
         )
     labels = out["labels"][converged]
     preds = out["preds"][converged]
@@ -601,14 +555,15 @@ def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> Metric
 
 def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
     """Independent Monte Carlo batches for each swept value."""
+    if variable not in SWEEP_VARIABLES:
+        raise ValidationError(
+            f"unknown sweep_variable {variable!r}; expected one of {SWEEP_VARIABLES}")
     if values is None:
         if variable != "comm_snr":
-            raise ValidationError("values must be given for non-SNR sweeps")
+            raise ValidationError(f"sweep_values must be given for a {variable} sweep")
         values = config.comm_snr_db
     check = check_count if variable in ("K", "N") else check_real
-    values = [check(value, "sweep_values") for value in values]
-    if not values:
-        raise ValidationError("values must be nonempty")
+    values = [check(value, "sweep_values") for value in check_list(values, "sweep_values")]
     workers = _resolve_workers(config)
     records = []
     for v_idx, value in enumerate(values):
@@ -689,8 +644,7 @@ _DOM_EST_SWEEP = 4
 
 
 def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
-                    snr_grid_db, trials: int, seed: int,
-                    responsibility_noise_var=None) -> list:
+                    snr_grid_db, trials: int, seed: int) -> list:
     """Noise-free-aggregation comparison of the three estimators.
 
     Sensing noise variances are equal across devices at each grid point
@@ -700,8 +654,6 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
     check_count(num_devices, "num_devices")
     check_count(trials, "trials")
     check_count(seed, "seed", 0)
-    if responsibility_noise_var is not None:
-        check_real(responsibility_noise_var, "responsibility_noise_var", 0)
     records = []
     mean_var = float(np.mean(prior.variances))
     for v_idx, snr_db in enumerate(snr_grid_db):
@@ -719,9 +671,7 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
             X_hat = np.empty_like(X_tilde)
             for k in range(num_devices):
                 X_hat[:, k, :], _ = estimate_batch(
-                    tag, prior, X_tilde[:, k, :], svar, labels=labels,
-                    responsibility_noise_var=responsibility_noise_var,
-                )
+                    tag, prior, X_tilde[:, k, :], svar, labels=labels)
             agg = X_hat.mean(axis=1)
             per_trial_mse[tag] = np.mean((X_hat - X[:, None, :]) ** 2, axis=(1, 2))
             correct = (map_classify_batch(prior, agg) == labels).astype(float)

@@ -8,7 +8,6 @@ are 1-based throughout (1..L), matching the confusion-count CSV.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,41 +67,6 @@ class GaussianMixturePrior:
     @property
     def feature_dim(self) -> int:
         return self.means.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.num_classes,
-            "M": self.feature_dim,
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "mixing": self.mixing.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianMixturePrior":
-        try:
-            prior = cls(
-                means=np.asarray(data["means"], dtype=np.float64),
-                variances=np.asarray(data["variances"], dtype=np.float64),
-                mixing=np.asarray(data["mixing"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"prior document missing field {exc}") from exc
-        if "L" in data and int(data["L"]) != prior.num_classes:
-            raise ValidationError("declared L does not match means row count")
-        if "M" in data and int(data["M"]) != prior.feature_dim:
-            raise ValidationError("declared M does not match means column count")
-        return prior
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "GaussianMixturePrior":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

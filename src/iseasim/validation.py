@@ -61,8 +61,13 @@ def check_real(value, name, least=-math.inf, strict=False):
     return float(value)
 
 
+def check_list(values, name):
+    """values if it is a nonempty list, tuple or array."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        raise ValidationError(f"{name} must be a nonempty list, got {values!r}")
+    return values
+
+
 def check_reals(values, name, least=-math.inf, strict=False):
     """A list, tuple or array of check_real values, as a tuple of floats."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
-    return tuple(check_real(v, name, least, strict) for v in values)
+    return tuple(check_real(v, name, least, strict) for v in check_list(values, name))

@@ -174,11 +174,10 @@ class TestCommSnr:
                                    2 * budgets, rtol=1e-12)
 
 
-def decode_context(decode):
-    """A sweep point's context whose decode rule is `decode` (three
-    devices, four features)."""
+def decode_context():
+    """A sweep point's context (three devices, four features)."""
     cfg = pipeline.ExperimentConfig(solver="equal", comm_snr_db=(10.0,),
-                                    calibration_samples=100, decode=decode)
+                                    calibration_samples=100)
     return pipeline.build_context(cfg, "comm_snr", 10.0, 0)
 
 
@@ -187,7 +186,7 @@ class TestEffectiveGains:
         # a_n sum_k h b = 3 when a = 1 and h b = 1 for each of three devices
         hb = np.ones((1, 3, 4))
         y_hat = np.arange(1.0, 5.0)[None, :]
-        decoded, observed = pipeline._decode(decode_context("gain"), y_hat,
+        decoded, observed = pipeline._decode(decode_context(), y_hat,
                                              np.ones((1, 4)), hb)
         np.testing.assert_allclose(decoded, y_hat / 3.0, rtol=1e-15)
         assert observed.all()
@@ -204,20 +203,17 @@ class TestTransmitAggregate:
         rx = rng.uniform(0.5, 1.5, (5, 4))
         hb = gains * tx
         y_hat = rx * np.sum(hb * X_hat, axis=1)
-        for decode in ("gated", "gain"):
-            decoded, observed = pipeline._decode(decode_context(decode), y_hat, rx, hb)
-            np.testing.assert_allclose(decoded, X_hat.mean(axis=1), rtol=1e-12)
-            assert observed.all()
+        decoded, observed = pipeline._decode(decode_context(), y_hat, rx, hb)
+        np.testing.assert_allclose(decoded, X_hat.mean(axis=1), rtol=1e-12)
+        assert observed.all()
 
     def test_zero_transmit_is_pure_noise(self):
         # with b = 0 the aggregate carries only receiver noise: gated decode
-        # erases every element and gain decode yields zeros, not noise / 0
+        # erases every element and yields zeros, not noise / 0
         rng = np.random.default_rng(2)
         y_hat = rng.normal(size=(6, 4))
         hb = np.zeros((6, 3, 4))
-        decoded, observed = pipeline._decode(decode_context("gated"), y_hat,
+        decoded, observed = pipeline._decode(decode_context(), y_hat,
                                              np.ones((6, 4)), hb)
         assert not observed.any()
-        np.testing.assert_array_equal(decoded, 0.0)
-        decoded, _ = pipeline._decode(decode_context("gain"), y_hat, np.ones((6, 4)), hb)
         np.testing.assert_array_equal(decoded, 0.0)

@@ -8,6 +8,7 @@ import pytest
 
 from iseasim import pipeline
 from iseasim.cli import main
+from iseasim.validation import ValidationError
 
 
 def write_config(tmp_path, name, data):
@@ -74,13 +75,20 @@ class TestAccuracySweep:
         assert main(["accuracy-sweep", "--config", cfg,
                      "--output", str(tmp_path / "o.csv")]) == 2
 
-    def test_nonpositive_erasure_factor_is_validation_error(self, tmp_path, capsys):
-        # every element would be erased and the run would report the
-        # prior-argmax accuracy without a word
-        cfg = accuracy_config(tmp_path, erasure_factor=-1)
+    @pytest.mark.parametrize("key, value", [
+        ("decode", "gated"), ("erasure_factor", 9.0), ("responsibility_noise_var", 1.0),
+        ("prior_path", "prior.json"), ("sensing_spread", 2.0), ("exclusion_limit", 0.01),
+    ])
+    def test_removed_keys_are_validation_errors(self, tmp_path, capsys, key, value):
+        # these settings are fixed now (gated decode with erasure factor 9,
+        # responsibilities under the true sensing variance, the default
+        # prior, spread 2 and the 1% exclusion limit); naming one is an error
+        with pytest.raises(ValidationError, match=key):
+            pipeline.ExperimentConfig.from_dict({key: value})
+        cfg = accuracy_config(tmp_path, **{key: value})
         assert main(["accuracy-sweep", "--config", cfg,
                      "--output", str(tmp_path / "o.csv")]) == 2
-        assert "erasure_factor" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_unknown_solver_opts_are_validation_error(self, tmp_path, capsys):
         cfg = accuracy_config(tmp_path, solver_opts={"max_iters": 150})
@@ -187,6 +195,16 @@ class TestCompareCommands:
         assert header.startswith("comm_snr_db,mse_comp,md_comp,mse_dec,md_dec,"
                                  "mse_equal,md_equal,mse_inv,md_inv")
 
+    @pytest.mark.parametrize("command, scheme", [
+        ("fdm-compare", "tdm"), ("tdm-compare", "fdm"), ("tdm-compare", None)])
+    def test_wrong_scheme_is_validation_error(self, tmp_path, capsys, command, scheme):
+        data = {"trials": 3, "comm_snr_db": [10.0], "calibration_samples": 200}
+        if scheme is not None:
+            data["scheme"] = scheme
+        cfg = write_config(tmp_path, "cmp.json", data)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 2
+        assert "scheme" in capsys.readouterr().err
+
     def test_calibrates_once_for_every_snr_point(self, tmp_path, monkeypatch):
         calls = []
         calibrate = pipeline.calibrate
@@ -245,11 +263,9 @@ def _spoiled(value, bad):
                     yield value[:i] + [spoiled] + value[i + 1:]
 
 
-def _fuzz_cases():
-    """(subcommand, key, config) for every reference config, with `trials`
-    cut to 3 and a small calibration where the config takes one, and one
-    numeric value replaced by "x" or NaN."""
-    cases = []
+def _reference_configs():
+    """(name, subcommand, config) for every reference config, with `trials`
+    cut to 3 and a small calibration where the config takes one."""
     for path in sorted(CONFIGS.glob("*.json")):
         command = COMMANDS[path.stem]
         data = json.loads(path.read_text())
@@ -257,17 +273,61 @@ def _fuzz_cases():
             data["trials"] = 3
         if command in ("accuracy-sweep", "fdm-compare", "tdm-compare"):
             data["calibration_samples"] = 200
+        yield path.stem, command, data
+
+
+def _fuzz_cases():
+    """(subcommand, key, config): a reference config with one numeric value
+    replaced by "x" or NaN."""
+    cases = []
+    for stem, command, data in _reference_configs():
         for key, value in data.items():
             for bad in ("x", math.nan):
                 for n, spoiled in enumerate(_spoiled(value, bad)):
                     cases.append(pytest.param(command, key, data | {key: spoiled},
-                                              id=f"{path.stem}-{key}-{n}-{bad}"))
+                                              id=f"{stem}-{key}-{n}-{bad}"))
     return cases
+
+
+def _shape_cases():
+    """(subcommand, text the error must contain, config): a reference
+    config with an unknown key added or a list value replaced by 5 or [],
+    a few more keys of the wrong kind, and a JSON array in place of the
+    object under every subcommand."""
+    cases = []
+    for stem, command, data in _reference_configs():
+        cases.append(pytest.param(command, "not_a_key", data | {"not_a_key": 1},
+                                  id=f"{stem}-unknown-key"))
+        cases += [pytest.param(command, key, data | {key: bad}, id=f"{stem}-{key}-{bad}")
+                  for key, value in data.items() if isinstance(value, list)
+                  for bad in (5, [])]
+    cases += [
+        pytest.param("validate-solvers", "instancs", {"instancs": 1},
+                     id="validate_solvers-unknown-key"),
+        pytest.param("accuracy-sweep", "solver_opts", {"trials": 3, "solver_opts": 5},
+                     id="accuracy_sweep-solver_opts-5"),
+        pytest.param("accuracy-sweep", "sweep_variable", {"trials": 3, "sweep_variable": "snr"},
+                     id="accuracy_sweep-sweep_variable-snr"),
+    ]
+    for command in sorted(set(COMMANDS.values()) | {"validate-solvers"}):
+        cases.append(pytest.param(command, "JSON object", [1, 2], id=f"{command}-array"))
+    return cases
+
+
+def _exit_code(tmp_path, command, data):
+    argv = [command, "--config", write_config(tmp_path, "fuzz.json", data)]
+    if command != "validate-solvers":
+        argv += ["--output", str(tmp_path / "o.csv")]
+    return main(argv)
 
 
 class TestReferenceConfigFuzz:
     @pytest.mark.parametrize("command, key, data", _fuzz_cases())
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, key, data):
-        cfg = write_config(tmp_path, "fuzz.json", data)
-        assert main([command, "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 2
+        assert _exit_code(tmp_path, command, data) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, data", _shape_cases())
+    def test_bad_shape_exits_2_naming_it(self, tmp_path, capsys, command, text, data):
+        assert _exit_code(tmp_path, command, data) == 2
+        assert text in capsys.readouterr().err

@@ -11,11 +11,11 @@ from iseasim.validation import ValidationError
 from test_prior import random_prior
 
 
-def estimate_one(tag, prior, x_tilde, svar, label=None, **kwargs):
+def estimate_one(tag, prior, x_tilde, svar, label=None):
     """(x_hat, posterior_var) of one observation through estimate_batch."""
     labels = None if label is None else [label]
     x_hat, pv = estimate_batch(tag, prior, np.asarray(x_tilde, dtype=float)[None, :],
-                               svar, labels=labels, **kwargs)
+                               svar, labels=labels)
     return x_hat[0], pv[0]
 
 
@@ -155,14 +155,6 @@ class TestRwbEstimate:
         shrunk = (v * X_tilde[:, None, :] + svar * prior.means) / (v + svar)
         assert np.all(X_hat >= shrunk.min(axis=1) - 1e-12)
         assert np.all(X_hat <= shrunk.max(axis=1) + 1e-12)
-
-    def test_separate_responsibility_noise_var(self):
-        rng = np.random.default_rng(10)
-        prior = random_prior(rng)
-        x_tilde = observe_batch(prior.means[0], 0.5, seed=15)
-        a, _ = estimate_one("rwb", prior, x_tilde, 0.5)
-        b, _ = estimate_one("rwb", prior, x_tilde, 0.5, responsibility_noise_var=5.0)
-        assert np.any(a != b)
 
 
 class TestAnalyticMse:

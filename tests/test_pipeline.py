@@ -58,18 +58,15 @@ class TestConfig:
                                    "num_subcarriers", "trials", "calibration_samples")
           for bad in (0, 2.5, True)],
         ("noise_var", 0.0), ("noise_var", float("nan")), ("noise_var", "0.1"),
-        ("erasure_factor", -1.0), ("erasure_factor", float("nan")),
-        ("erasure_factor", float("inf")),
         ("comm_snr_db", (10.0, float("nan"))), ("comm_snr_db", 10.0),
         ("sensing_snr_db", float("nan")), ("sensing_snr_db", float("-inf")),
         ("min_md_target", float("nan")), ("min_md_target", 0.0), ("min_md_target", -1.0),
         ("sensing_vars", (float("nan"), 0.1, 0.1)), ("sensing_vars", (0.1, float("inf"), 0.1)),
         ("solver_opts", {"kkt_tol": float("nan")}), ("solver_opts", {"kkt_tol": float("inf")}),
+        ("solver_opts", {"kkt_tol": True}), ("solver_opts", {"kkt_tol": "1e-5"}),
+        ("solver_opts", 5), ("comm_snr_db", ()),
         ("sensing_vars", ("a", 0.1, 0.1)),
         *[(name, bad) for name in ("seed", "prior_seed") for bad in ("x", float("nan"), -1)],
-        ("sensing_spread", float("nan")), ("sensing_spread", 0.5),
-        ("exclusion_limit", "x"), ("exclusion_limit", float("nan")),
-        ("responsibility_noise_var", -1), ("responsibility_noise_var", float("nan")),
         ("workers", "x"), ("workers", 0), ("workers", -3), ("workers", 2.7),
     ])
     def test_bad_numbers_name_the_field(self, field, value):
@@ -146,12 +143,11 @@ class TestRunTrial:
         # above the receiver noise) must reproduce the clean classifier
         cfg = tiny_config(sensing_vars=(0.0, 0.0, 0.0), noise_var=1e-12,
                           estimator="ml", solver="equal")
-        prior = pipeline.load_prior(cfg)
         ctx = pipeline.build_context(cfg, "comm_snr", 180.0, 0)
         out = pipeline.run_trials_batch(ctx, range(30))
         labels, X, _, _, _ = pipeline._draw_trials(ctx, range(30))
         np.testing.assert_array_equal(out["preds"],
-                                      map_classify_batch(prior, X))
+                                      map_classify_batch(ctx.prior, X))
         np.testing.assert_array_equal(out["clean_preds"], out["preds"])
 
     def test_matches_batch_path(self):

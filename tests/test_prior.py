@@ -48,22 +48,6 @@ class TestPriorValidation:
             GaussianMixturePrior(means=np.zeros((2, 3)), variances=[1.0, 1.0],
                                  mixing=[0.5, 0.5])
 
-    def test_serialization_round_trip(self, tmp_path):
-        prior = random_prior(np.random.default_rng(0))
-        path = tmp_path / "prior.json"
-        prior.save(path)
-        loaded = GaussianMixturePrior.load(path)
-        np.testing.assert_array_equal(loaded.means, prior.means)
-        np.testing.assert_array_equal(loaded.variances, prior.variances)
-        np.testing.assert_array_equal(loaded.mixing, prior.mixing)
-
-    def test_from_dict_checks_declared_sizes(self):
-        prior = random_prior(np.random.default_rng(0))
-        doc = prior.to_dict()
-        doc["L"] = 7
-        with pytest.raises(ValidationError):
-            GaussianMixturePrior.from_dict(doc)
-
 
 class TestSample:
     def test_degenerate_single_class(self):
