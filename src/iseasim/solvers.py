@@ -16,7 +16,9 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
   from the equal-power split, alternate the MSE-optimal receive rule with
   the exact per-device power-constrained transmit update, whose
   multiplier is found by a fixed-count Newton iteration (the log-domain
-  bisection `_bisect_fixed` is kept only as its test reference).
+  bisection `_bisect_fixed` is kept only as its test reference).  Each
+  instance runs up to 120 sweeps and stops early once its own auxiliary
+  settles, so results stay batch-invariant.
 * fdm_md_optimal  : the same scheme on the quadratic-transform auxiliary
   z_n of the received MD.
 
@@ -61,10 +63,13 @@ LOG_LO = -30.0
 LOG_HI = 30.0
 TINY = 1e-300
 
-# Fixed-point sweeps of the FDM polish (a fixed count keeps results
-# batch-invariant) and the KKT residual below which a single-instance
-# FDM solve reports convergence.
+# The FDM polish stops each instance once its auxiliary moves by at most
+# POLISH_TOL relative to its largest entry in one sweep (a per-instance
+# rule, so results stay batch-invariant), or after POLISH_SWEEPS sweeps;
+# KKT_TOL is the KKT residual below which a single-instance FDM solve
+# reports convergence.
 POLISH_SWEEPS = 120
+POLISH_TOL = 1e-12
 KKT_TOL = 1e-6
 
 SOLVER_NAMES = ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal",
@@ -75,10 +80,14 @@ TDM_SOLVERS = ("tdm_mse", "tdm_md")
 
 def _check_data(noise_name, noise_positive, gains, budgets, moments, est_vars,
                 noise, delta):
-    """The data rules of the instance classes and `solve_batch`: gains,
+    """The data rules of the instance classes and `solve_batch`: at least
+    one device and one subcarrier (a batch may hold no instances), gains,
     budgets, moments and est_vars finite and > 0, delta finite and >= 0,
     the noise finite and > 0 if `noise_positive` (FdmInstance, the FDM dual
     solvers), else >= 0.  A `ValidationError` names the first breach."""
+    if 0 in np.shape(gains)[-2:]:
+        raise ValidationError("gains must hold at least one device and one subcarrier,"
+                              f" got shape {np.shape(gains)}")
     for name, arr, positive in (("gains", gains, True), ("budgets", budgets, True),
                                 ("moments", moments, True), ("est_vars", est_vars, True),
                                 (noise_name, noise, noise_positive), ("delta", delta, False)):
@@ -274,7 +283,7 @@ def _tdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
 
     if np.any(delta <= 0):
         raise ValidationError("tdm_md_optimal requires delta > 0")
-    spread = np.max((sv.max(axis=1) - sv.min(axis=1)) / sv.max(axis=1))
+    spread = np.max((sv.max(axis=1) - sv.min(axis=1)) / sv.max(axis=1), initial=0.0)
     if spread > 1e-9:
         raise ValidationError(
             "tdm_md_optimal requires homogeneous est_vars across devices "
@@ -401,9 +410,11 @@ class _DualCore:
             pos = den > 0
             den = np.where(pos, den, 1.0)
             mb2 = mom * np.where(pos, c1 / den, 0.0) ** 2
-            used = np.sum(mb2, axis=2)
+            # ndarray.sum: the same reduction as np.sum without its
+            # dispatch, which costs as much as the sum at these sizes
+            used = mb2.sum(axis=2)
             # slope = -used'(lam) / 2; the step is -g / g'
-            slope = np.sum(mb2 * mom / den, axis=2)
+            slope = (mb2 * mom / den).sum(axis=2)
             step = active & (slope > 0)
             lam = lam + np.where(step, used * (np.sqrt(used / budgets) - 1.0)
                                  / np.where(step, slope, 1.0), 0.0)
@@ -444,24 +455,41 @@ class _DualCore:
         b = self._b_shape(c1, c2, lam)
         return lam, b
 
+    def _rows(self, keep):
+        """The core of the instances `keep` (indices) of this batch."""
+        return _DualCore(self.g[keep], self.budgets[keep], self.mom[keep], self.sv[keep],
+                         self.noise[keep, 0], self.delta[keep])
+
     def polish(self, kind, b):
         """Alternate the closed-form auxiliary update (receive scale for
         the MSE objective, quadratic-transform ratio for the MD objective)
         with the exact per-device power-constrained transmit update.  Both
         alternations move their objective monotonically, so the iteration
-        cannot cycle; a fixed sweep count keeps results batch-invariant.
+        cannot cycle.
 
         Linearly convergent tails (subcarriers near the on/off boundary)
         are collapsed by periodic Aitken extrapolation of the auxiliary,
-        accepted only when it does not worsen the objective.  Returns
-        (lam, aux, b) with b exactly optimal for the returned aux and lam.
+        accepted only when it does not worsen the objective.  Every second
+        sweep, except the Aitken sweeps and the last, each instance whose
+        auxiliary moved by at most POLISH_TOL relative stops: its auxiliary
+        is frozen and its row leaves the working batch.  The rest run up to
+        POLISH_SWEEPS sweeps.  A stop depends only on the instance's own
+        iterates, so results stay batch-invariant.  Returns (lam, aux, b,
+        sweeps) with b exactly optimal for the returned aux and lam, and
+        the sweeps each instance ran.
         """
-        upd = self.rx_update if kind == "mse" else self.z_update
         better = np.less if kind == "mse" else np.greater
+        core = self
+        upd = core.rx_update if kind == "mse" else core.z_update
         aux = upd(b)
         aux_prev = aux
+        final = np.empty_like(aux)
+        sweeps = np.full(self.B, POLISH_SWEEPS)
+        rows = np.arange(self.B)  # the batch index of each working row
         for sweep in range(1, POLISH_SWEEPS + 1):
-            _, b = self._step(kind, aux)
+            if not rows.size:
+                break
+            _, b = core._step(kind, aux)
             aux_next = upd(b)
             if sweep % 12 == 0:
                 d1 = aux - aux_prev
@@ -471,23 +499,36 @@ class _DualCore:
                 rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
                               0.0, 0.999)
                 aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
-                _, b_acc = self._step(kind, aux_acc)
-                take = better(self.objective(kind, b_acc),
-                              self.objective(kind, b))
+                _, b_acc = core._step(kind, aux_acc)
+                take = better(core.objective(kind, b_acc),
+                              core.objective(kind, b))
                 aux_next = np.where(take[:, None], upd(b_acc), aux_next)
             aux_prev = aux
             aux = aux_next
-        lam, b = self._step(kind, aux)
-        return lam, aux, b
+            if sweep % 2 or sweep % 12 == 0 or sweep == POLISH_SWEEPS:
+                continue
+            done = (np.max(np.abs(aux - aux_prev), axis=1)
+                    <= POLISH_TOL * np.max(np.abs(aux), axis=1))
+            if done.any():
+                final[rows[done]] = aux[done]
+                sweeps[rows[done]] = sweep
+                keep = np.flatnonzero(~done)
+                rows, aux, aux_prev = rows[keep], aux[keep], aux_prev[keep]
+                core = core._rows(keep)
+                upd = core.rx_update if kind == "mse" else core.z_update
+        final[rows] = aux
+        lam, b = self._step(kind, final)
+        return lam, final, b, sweeps
 
     # -- main loop --------------------------------------------------------
 
     def run(self, kind):
         """Polish from the equal-power split, fold rounding dust back
         inside the budgets and certify the result.  Returns (lam, aux, b,
-        kkt): kkt is the max of relative power overuse, complementary
-        slackness and the auxiliary's fixed-point residual."""
-        lam, aux, b = self.polish(kind, equal_power(self.budgets, self.mom))
+        kkt, sweeps): kkt is the max of relative power overuse,
+        complementary slackness and the auxiliary's fixed-point residual;
+        sweeps are the polish sweeps of each instance."""
+        lam, aux, b, sweeps = self.polish(kind, equal_power(self.budgets, self.mom))
 
         used = self.power_used(b)
         over = used > self.budgets
@@ -502,16 +543,16 @@ class _DualCore:
         aux_scale = np.maximum(np.max(np.abs(aux_new), axis=1), TINY)
         aux_resid = np.max(np.abs(aux - aux_new), axis=1) / aux_scale
         kkt = np.maximum(np.maximum(overuse, compl), aux_resid)
-        return lam, aux, b, kkt
+        return lam, aux, b, kkt, sweeps
 
 
 def _fdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
-    """(lam, aux, tx, rx, kkt) of the dual solver on a batch; the MD design
-    decodes with the MSE-optimal receive rule."""
-    lam, aux, tx, kkt = _DualCore(gains, budgets, moments, est_vars,
-                                  noise, delta).run(kind)
+    """(lam, aux, tx, rx, kkt, sweeps) of the dual solver on a batch; the
+    MD design decodes with the MSE-optimal receive rule."""
+    lam, aux, tx, kkt, sweeps = _DualCore(gains, budgets, moments, est_vars,
+                                          noise, delta).run(kind)
     rx = aux if kind == "mse" else receive_rule(gains, tx, est_vars, noise[:, None])
-    return lam, aux, tx, rx, kkt
+    return lam, aux, tx, rx, kkt, sweeps
 
 
 def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
@@ -548,8 +589,8 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
                                     noise, delta)
         return tx, rx, kkt
     if name in ("fdm_mse", "fdm_md"):
-        _, _, tx, rx, kkt = _fdm_batch(name[4:], gains, budgets, moments, est_vars,
-                                       noise, delta)
+        _, _, tx, rx, kkt, _ = _fdm_batch(name[4:], gains, budgets, moments, est_vars,
+                                          noise, delta)
         return tx, rx, kkt
     tx = equal_power(budgets, moments)
     if name == "channel_inversion":
@@ -561,9 +602,10 @@ def fdm_mse_dual(inst: FdmInstance) -> SolveReport:
     """MSE-minimizing FDM design by dual decomposition.
 
     Per-device multipliers meet the power budgets exactly at every sweep
-    of a fixed-length alternating polish (see `_DualCore.polish`), which
-    drives the joint KKT system to root-solver accuracy; the duals and
-    the dual objective are reported alongside the design.
+    of an alternating polish of up to POLISH_SWEEPS sweeps that stops once
+    the receive scale settles (see `_DualCore.polish`), which drives the
+    joint KKT system to root-solver accuracy; the duals and the dual
+    objective are reported alongside the design.
     """
     return solve(inst, "fdm_mse")
 
@@ -866,10 +908,11 @@ def solve(inst, solver: str) -> SolveReport:
     `_tdm_batch`, `_fdm_batch` or (the baselines: the equal power split,
     and channel inversion capped by it) `solve_batch` at B=1.  The
     objective is the received MD for the MD designs, else the realized
-    MSE.  Iterations count the devices (TDM), the polish sweeps (FDM) or
-    zero; extras: threshold index, a*, device order and full-power mask
-    (tdm_mse); cap tau and order (tdm_md); duals, receive powers, dual
-    value and duality gap (fdm_mse); duals, z and z-consistency (fdm_md).
+    MSE.  Iterations count the devices (TDM), the polish sweeps the
+    instance ran (FDM, at most POLISH_SWEEPS) or zero; extras: threshold
+    index, a*, device order and full-power mask (tdm_mse); cap tau and
+    order (tdm_md); duals, receive powers, dual value and duality gap
+    (fdm_mse); duals, z and z-consistency (fdm_md).
     """
     g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
     batch = (g[None], budgets[None], moments[None], sv[None], np.array([noise]), delta[None])
@@ -880,8 +923,8 @@ def solve(inst, solver: str) -> SolveReport:
     elif solver in ("fdm_mse", "fdm_md"):
         if solver == "fdm_md" and np.all(delta <= 0):
             raise ValidationError("fdm_md_optimal requires delta > 0 on some subcarrier")
-        lam, aux, tx, rx, kkt = _fdm_batch(solver[4:], *batch)
-        iterations = POLISH_SWEEPS
+        lam, aux, tx, rx, kkt, sweeps = _fdm_batch(solver[4:], *batch)
+        iterations = int(sweeps[0])
         extras = {"duals": lam, "rx_power": rx * rx} if solver == "fdm_mse" \
             else {"duals": lam, "z": aux}
     else:

@@ -10,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from iseasim import pipeline
 from iseasim.channel import md_received, mse_at_rx, mse_min_rx
 from iseasim.solvers import (
+    KKT_TOL,
+    POLISH_SWEEPS,
     SOLVER_NAMES,
+    TDM_SOLVERS,
     FdmInstance,
     TdmInstance,
     brute_force_oracle,
@@ -29,7 +33,7 @@ from iseasim.solvers import (
     tdm_md_optimal,
     tdm_mse_optimal,
 )
-from iseasim.solvers import _bisect_fixed, _DualCore, _grid_starts
+from iseasim.solvers import _bisect_fixed, _DualCore, _fdm_batch, _grid_starts
 from iseasim.validation import ValidationError
 
 
@@ -421,6 +425,15 @@ class TestSolveBatch:
             cls(gains=g, budgets=budgets, moments=moments, est_vars=est_vars,
                 noise_var=noise, delta=delta)
 
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_zero_size_inputs(self, name):
+        K, N = 2, 1 if name in TDM_SOLVERS else 3
+        tx, rx, kkt = solve_batch(name, np.ones((0, K, N)), 1.0, 1.0, 1.0, 0.1, 1.0)
+        assert (tx.shape, rx.shape, kkt.shape) == ((0, K, N), (0, N), (0,))
+        for shape in ((2, 0, N), (2, K, 0), (0, 0, 0)):
+            with pytest.raises(ValidationError, match="^gains must hold at least one device"):
+                solve_batch(name, np.ones(shape), 1.0, 1.0, 1.0, 0.1, 1.0)
+
     @pytest.mark.parametrize("name", ["tdm_mse", "equal", "channel_inversion"])
     def test_zero_noise_is_allowed_where_tdm_instances_allow_it(self, name):
         rng = np.random.default_rng(28)
@@ -566,6 +579,104 @@ def test_newton_multiplier_matches_the_bisection_reference(stack):
         alone = _dual_core(moments[i:i + 1], budgets[i:i + 1])._lambda_for(
             c1[i:i + 1], c2[i:i + 1])
         np.testing.assert_array_equal(alone[0], lam[i])
+
+
+class _FixedSweepCore(_DualCore):
+    """The dual core with the polish that runs every instance for exactly
+    POLISH_SWEEPS sweeps, the reference of the per-instance stop rule."""
+
+    def polish(self, kind, b):
+        upd = self.rx_update if kind == "mse" else self.z_update
+        better = np.less if kind == "mse" else np.greater
+        aux = upd(b)
+        aux_prev = aux
+        for sweep in range(1, POLISH_SWEEPS + 1):
+            _, b = self._step(kind, aux)
+            aux_next = upd(b)
+            if sweep % 12 == 0:
+                d1 = aux - aux_prev
+                d2 = aux_next - aux
+                num = np.sum(d2 * d1, axis=1)
+                den = np.sum(d1 * d1, axis=1)
+                rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
+                              0.0, 0.999)
+                aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
+                _, b_acc = self._step(kind, aux_acc)
+                take = better(self.objective(kind, b_acc),
+                              self.objective(kind, b))
+                aux_next = np.where(take[:, None], upd(b_acc), aux_next)
+            aux_prev = aux
+            aux = aux_next
+        lam, b = self._step(kind, aux)
+        return lam, aux, b, np.full(self.B, POLISH_SWEEPS)
+
+
+def _pipeline_batch(snr_db, trials=200):
+    """The FDM solver inputs of the default accuracy sweep's first
+    `trials` trials at comm SNR snr_db."""
+    config = pipeline.ExperimentConfig()
+    ctx = pipeline.build_context(config, "comm_snr", snr_db,
+                                 config.comm_snr_db.index(snr_db))
+    gains = pipeline._draw_trials(ctx, range(trials))[3]
+    moments, est_vars, delta = ctx.design_stats
+    B, K, N = gains.shape
+    return (gains, np.broadcast_to(ctx.budgets, (B, K)).copy(),
+            np.broadcast_to(moments, (B, K, N)).copy(),
+            np.broadcast_to(est_vars, (B, K, N)).copy(),
+            np.full(B, ctx.noise_var), np.broadcast_to(delta, (B, N)).copy())
+
+
+def _polish_reference_batches():
+    # The shapes on which 120 sweeps leave some KKT residual above KKT_TOL
+    # (2x2, 3x2, 3x4), two small ones, and pipeline batches from both SNR
+    # ends and the middle.
+    rng = np.random.default_rng(5)
+    for K, N in ((2, 2), (3, 2), (3, 4), (1, 2), (3, 1)):
+        yield f"{K}x{N}", _stack([random_fdm_instance(rng, K, N) for _ in range(1000)])
+    for snr_db in (-20.0, 10.0, 40.0):
+        yield f"{snr_db:g} dB", _pipeline_batch(snr_db)
+
+
+class TestPolishStopRule:
+    @pytest.mark.parametrize("kind", ["mse", "md"])
+    def test_matches_the_fixed_sweep_polish(self, kind):
+        for label, batch in _polish_reference_batches():
+            _, _, b, kkt, sweeps = _DualCore(*batch).run(kind)
+            _, _, b_ref, kkt_ref, _ = _FixedSweepCore(*batch).run(kind)
+            core = _DualCore(*batch)
+            obj, obj_ref = core.objective(kind, b), core.objective(kind, b_ref)
+            gap = np.abs(obj - obj_ref) / np.abs(obj_ref)
+            assert gap.max() <= 1e-12, (label, gap.max())
+            assert np.all(kkt <= np.maximum(kkt_ref, 1e-11)), label
+            assert np.sum(kkt > KKT_TOL) == np.sum(kkt_ref > KKT_TOL), label
+            assert sweeps.min() < POLISH_SWEEPS and sweeps.max() <= POLISH_SWEEPS, label
+
+    def test_reported_sweeps(self):
+        rng = np.random.default_rng(37)
+        counts = [solver(random_fdm_instance(rng, int(rng.integers(1, 4)),
+                                             int(rng.integers(1, 4)))).iterations
+                  for _ in range(10) for solver in (fdm_mse_dual, fdm_md_optimal)]
+        assert all(isinstance(c, int) and 2 <= c <= POLISH_SWEEPS for c in counts)
+        # One device on one subcarrier spends its whole budget there from
+        # the equal-power start, so its auxiliary never moves and it stops
+        # at the first check.
+        inst = random_fdm_instance(rng, 1, 1)
+        assert fdm_mse_dual(inst).iterations == fdm_md_optimal(inst).iterations == 2
+
+    @pytest.mark.parametrize("kind", ["mse", "md"])
+    def test_rows_that_stop_at_different_sweeps_equal_themselves_alone(self, kind):
+        batch = _pipeline_batch(10.0, 60)
+        out = _fdm_batch(kind, *batch)
+        sweeps = out[-1]
+        assert len(set(sweeps.tolist())) > 2 and sweeps.max() == POLISH_SWEEPS
+        for i in range(sweeps.size):
+            alone = _fdm_batch(kind, *(a[i:i + 1] for a in batch))
+            for x, x1 in zip(out, alone):
+                np.testing.assert_array_equal(x[i], x1[0])
+        # a batch in which every row stops before the cap
+        early = np.flatnonzero(sweeps < POLISH_SWEEPS)
+        for x, x1 in zip(out, _fdm_batch(kind, *(a[early] for a in batch))):
+            np.testing.assert_array_equal(x[early], x1)
 
 
 def _oracle_value(inst, objective):
