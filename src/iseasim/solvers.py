@@ -650,28 +650,60 @@ def _z_consistency(batch, tx, z) -> float:
 GOLDEN_ITERS = 44
 ORACLE_STARTS = 5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps that one call of the searched function looks ahead.
+_LOOKAHEAD = 3
 
 
 def _golden_section(fun, size):
     """Deterministic golden-section minimization on [0, 1] of `size`
-    independent problems at once: fun maps an (size,) vector of points to
-    their (size,) values.  Returns (x, fun(x)) with x the midpoint of each
-    final bracket."""
-    a, b = np.zeros(size), np.ones(size)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(GOLDEN_ITERS):
-        left = fc <= fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        step = _INVPHI * (b - a)
-        x = np.where(left, b - step, a + step)
-        fx = fun(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+    independent problems at once: fun maps an (m, size) array of points
+    (column s for problem s) to their values.  Returns (x, fun(x)) as
+    (size,) arrays, with x the midpoint of each final bracket.
+
+    Each call of fun looks _LOOKAHEAD steps ahead.  A step keeps the side
+    of the bracket whose inner point has the smaller value (the left side
+    on a tie, the right side when either value is NaN, as `fc <= fd`
+    decides), so the first of the next steps is known and the rest branch:
+    1 + 2 + 4 points per problem for three steps.  One call evaluates all
+    of them, and each problem then walks its own path.  The brackets are
+    Python floats, which round as numpy's float64 arithmetic does, so each
+    problem takes the steps, and returns the bits, of a plain loop of
+    GOLDEN_ITERS single steps.
+    """
+    lo, hi = 0.0, 1.0
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = fun(np.array([[c] * size, [d] * size])).tolist()
+    brackets = [(lo, hi, c, d)] * size
+    for done in range(0, GOLDEN_ITERS, _LOOKAHEAD):
+        depth = min(_LOOKAHEAD, GOLDEN_ITERS - done)
+        # The steps ahead, level by level, as brackets (a, b, c, d) listed
+        # node-major over the problems.  Level 0 is the known step; node k
+        # of level j steps left to node k of level j + 1 and right to node
+        # k + 2**j.  A left step keeps [a, d] and probes a new c, a right
+        # step keeps [c, b] and probes a new d.
+        lefts = [f <= g for f, g in zip(fc, fd)]
+        level = [(a, d, d - _INVPHI * (d - a), c) if left
+                 else (c, b, d, c + _INVPHI * (b - c))
+                 for (a, b, c, d), left in zip(brackets, lefts)]
+        points = [t[2] if left else t[3] for t, left in zip(level, lefts)]
+        for _ in range(1, depth):
+            to_left = [(a, d, d - _INVPHI * (d - a), c) for a, b, c, d in level]
+            to_right = [(c, b, d, c + _INVPHI * (b - c)) for a, b, c, d in level]
+            points += [t[2] for t in to_left] + [t[3] for t in to_right]
+            level = to_left + to_right
+        vals = fun(np.array(points).reshape(-1, size)).ravel().tolist()
+        for s in range(size):
+            f, g, k = fc[s], fd[s], 0
+            for j in range(depth):
+                left = f <= g
+                if j and not left:
+                    k += 2 ** (j - 1)
+                fx = vals[(2 ** j - 1 + k) * size + s]
+                f, g = (fx, f) if left else (g, fx)
+            fc[s], fd[s] = f, g
+            brackets[s] = level[k * size + s]
+    x = np.array([0.5 * (a + b) for a, b, _, _ in brackets])
+    return x, fun(x[None])[0]
 
 
 def _params_to_tx(params, budgets, moments, out):
@@ -742,7 +774,10 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
     descend in lock-step: each coordinate is one golden-section search
     run for all of them at once, for at most refine_sweeps sweeps, and
     the descent stops after the first sweep in which no start improves.
-    The first start with the strictly smallest value wins.
+    The first start with the strictly smallest value wins.  Each search
+    evaluates the points of its next three steps in one call (see
+    `_golden_section`), and the result is bit for bit that of a loop over
+    the starts with one evaluation per step.
     """
     if objective not in ("mse", "md"):
         raise ValidationError(f"objective must be 'mse' or 'md', got {objective!r}")
@@ -766,9 +801,10 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
 
     p = _grid_starts(value, grid_resolution, budgets, moments)
     S, dims = p.shape
-    q = np.empty_like(p)
-    tx = np.empty((S, K, N))
-    v = value(_params_to_tx(p, budgets, moments, tx))
+    v = value(_params_to_tx(p, budgets, moments, np.empty((S, K, N))))
+    # (params, tx) buffers of `along`, one pair per number of points per
+    # start that `_golden_section` asks for at once.
+    buffers = {}
     # A start whose sweep improves nothing has stopped where a loop over
     # the starts would break: its next sweep repeats the same searches
     # from the same point and improves nothing either.
@@ -776,8 +812,12 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
         improved = False
         for d in range(dims):
             def along(x, d=d):
+                m = x.shape[0]
+                if m not in buffers:
+                    buffers[m] = np.empty((m, S, dims)), np.empty((m, S, K, N))
+                q, tx = buffers[m]
                 np.copyto(q, p)
-                q[:, d] = x
+                q[..., d] = x
                 return value(_params_to_tx(q, budgets, moments, tx))
             x, vx = _golden_section(along, S)
             better = vx < v - 1e-15 * np.maximum(1.0, np.abs(v))

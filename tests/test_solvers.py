@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iseasim import pipeline
+from iseasim import pipeline, solvers
 from iseasim.channel import md_received, mse_at_rx, mse_min_rx
 from iseasim.solvers import (
     KKT_TOL,
@@ -33,7 +33,8 @@ from iseasim.solvers import (
     tdm_md_optimal,
     tdm_mse_optimal,
 )
-from iseasim.solvers import _bisect_fixed, _DualCore, _fdm_batch, _grid_starts
+from iseasim.solvers import (_bisect_fixed, _DualCore, _fdm_batch, _golden_section,
+                             _grid_starts)
 from iseasim.validation import ValidationError
 
 
@@ -809,6 +810,19 @@ class TestOracleMatchesLoopReference:
         for cap in (0, 1, min(sweeps)):
             self.assert_same(inst, "mse", 9, cap)
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_homogeneous_tdm_instances_at_the_suite_grid(self, K):
+        # The TDM call that oracle_validation_suite and criterion 5 make.
+        inst = random_tdm_instance(np.random.default_rng(40 + K), K, homogeneous_vars=True)
+        for objective in ("mse", "md"):
+            self.assert_same(inst, objective, 17)
+
+    def test_six_devices_on_one_slot(self):
+        # Six search dimensions, the most the oracle accepts.
+        inst = random_fdm_instance(np.random.default_rng(46), 6, 1)
+        for objective in ("mse", "md"):
+            self.assert_same(inst, objective, 5)
+
     @pytest.mark.parametrize("grid", [1, 2, 3])
     def test_grids_with_fewer_points_per_slice_than_starts(self, grid):
         rng = np.random.default_rng(32)
@@ -826,6 +840,87 @@ class TestOracleMatchesLoopReference:
             value, budgets, moments = _oracle_value(inst, objective)
             np.testing.assert_array_equal(_grid_starts(value, 9, budgets, moments),
                                           ref.starts)
+
+
+def _golden_lockstep_reference(fun, size):
+    """The golden-section search with one lock-step numpy step per call of
+    fun, which maps a (size,) vector of points to their values."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.zeros(size), np.ones(size)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(solvers.GOLDEN_ITERS):
+        left = fc <= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        step = invphi * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fun(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+_elementwise_sin = np.frompyfunc(math.sin, 1, 1)
+
+
+@st.composite
+def _golden_problems(draw, kind):
+    """`size` <= 5 problems of one kind of function on [0, 1], with a drawn
+    parameter per problem (the last axis of the points).  Every operation
+    rounds each element on its own, so values do not depend on the shape
+    of the array of points (math.sin stands in for np.sin, whose SIMD
+    loops need not round as its scalar loop does)."""
+    size = draw(st.integers(1, 5))
+
+    def per_problem(lo, hi):
+        return draw(hnp.arrays(np.float64, size, elements=st.floats(lo, hi)))
+
+    if kind == "constant":
+        level = per_problem(-10.0, 10.0)
+        return size, lambda x: np.zeros_like(x) + level
+    if kind == "plateaus":
+        center, steps = per_problem(0.0, 1.0), np.floor(per_problem(2.0, 20.0))
+        return size, lambda x: np.floor(np.abs(x - center) * steps)
+    if kind == "sin":
+        freq, phase = per_problem(10.0, 200.0), per_problem(0.0, 2 * math.pi)
+        return size, lambda x: _elementwise_sin(freq * x + phase).astype(np.float64)
+    lo, width, center = per_problem(0.0, 0.7), per_problem(0.05, 0.3), per_problem(0.0, 1.0)
+    return size, lambda x: np.where((x >= lo) & (x <= lo + width), np.nan, (x - center) ** 2)
+
+
+class TestGoldenSection:
+    """The lookahead search against the lock-step search it replaced: the
+    same (x, f(x)) bit for bit, for every remainder of GOLDEN_ITERS over
+    the lookahead depth.  Constant values tie at every step (every step
+    goes left), plateaus tie at some, sin has many local minima, and NaN
+    values send the step right (`fc <= fd` is false)."""
+
+    @pytest.mark.parametrize("iters", [0, 1, 2, 3, 4, 5, 6, 7, 44])
+    @pytest.mark.parametrize("kind", ["constant", "plateaus", "sin", "nan"])
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_the_lockstep_search(self, kind, iters, data):
+        size, fun = data.draw(_golden_problems(kind))
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return fun(x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "GOLDEN_ITERS", iters)
+            x, fx = _golden_section(counted, size)
+            ref_x, ref_fx = _golden_lockstep_reference(fun, size)
+        assert x.shape == fx.shape == (size,)
+        assert x.tobytes() == ref_x.tobytes()
+        assert fx.tobytes() == ref_fx.tobytes()
+        # One call for the two inner points, one per _LOOKAHEAD steps and
+        # one for the midpoint.
+        assert len(calls) == 2 + -(-iters // solvers._LOOKAHEAD)
+        assert all(shape[1:] == (size,) for shape in calls)
 
 
 class TestOracleInputs:
