@@ -17,7 +17,6 @@ from .pipeline import (
     sweep,
 )
 from .prior import (
-    DiscriminativePrior,
     GaussianMixturePrior,
     discriminative_prior,
     min_md,

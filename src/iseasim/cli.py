@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -64,18 +63,6 @@ def _load_config(path, keys) -> dict:
     return data
 
 
-def _fmt(x) -> str:
-    return "%.9g" % float(x)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _experiment_config(data: dict, seed_override=None) -> pipeline.ExperimentConfig:
     if seed_override is not None:
         data = dict(data, seed=int(seed_override))
@@ -115,9 +102,9 @@ def _cmd_entropy_report(args) -> int:
     for idx, sv in enumerate(check_list(data["sensing_var_sets"], "sensing_var_sets")):
         sv = check_reals(sv, "sensing_var_sets", 0, strict=True)
         rep = entropy.entropy_report(prior_var, sv)
-        rows.append([idx, " ".join(_fmt(v) for v in sv),
-                     _fmt(rep.h_ml), _fmt(rep.h_mmse)])
-    _write_csv(args.output, ["index", "sensing_vars", "h_ml", "h_mmse"], rows)
+        rows.append([idx, " ".join(pipeline.fmt(v) for v in sv),
+                     pipeline.fmt(rep.h_ml), pipeline.fmt(rep.h_mmse)])
+    pipeline.write_csv(args.output, ["index", "sensing_vars", "h_ml", "h_mmse"], rows)
     return 0
 
 
@@ -153,15 +140,15 @@ def _compare(args, scheme, columns, statistics) -> int:
     for v_idx, snr_db in enumerate(config.comm_snr_db):
         budgets = pipeline.power_budgets(config, snr_db)
         gains = _rayleigh_draws(config, v_idx, moments.shape)
-        row = [_fmt(snr_db)]
+        row = [pipeline.fmt(snr_db)]
         for _, name in columns:
             tx, rx, _ = solvers.solve_batch(name, gains, budgets, moments,
                                             est_vars, ctx.noise_var, delta)
             mse = mse_at_rx(gains, tx, rx, est_vars, ctx.noise_var)
             md = np.sum(md_received(gains, tx, est_vars, ctx.noise_var, delta), axis=1)
-            row += [_fmt(mse.mean()), _fmt(md.mean())]
+            row += [pipeline.fmt(mse.mean()), pipeline.fmt(md.mean())]
         rows.append(row)
-    _write_csv(args.output, header, rows)
+    pipeline.write_csv(args.output, header, rows)
     return 0
 
 

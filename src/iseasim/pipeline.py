@@ -53,7 +53,7 @@ _DOM_CALIBRATION = 3
 # Guard so estimate variances entering a solver stay positive.
 _EST_VAR_FLOOR = 1e-12
 
-SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K", "N")
+SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K")
 # ExperimentConfig fields that count something and must be integers >= 1.
 _COUNT_FIELDS = ("num_classes", "feature_dim", "num_devices", "num_subcarriers",
                  "trials", "calibration_samples")
@@ -292,8 +292,6 @@ def build_context(config: ExperimentConfig, variable: str, value,
         cfg = replace(cfg, sensing_snr_db=value, sensing_vars=None)
     elif variable == "K":
         cfg = replace(cfg, num_devices=value, sensing_vars=None)
-    elif variable == "N":
-        cfg = replace(cfg, num_subcarriers=value)
     else:
         raise ValidationError(
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
@@ -325,7 +323,7 @@ def build_context(config: ExperimentConfig, variable: str, value,
         prior, sensing_vars, cfg.estimator, cfg.calibration_samples,
         np.random.SeedSequence(cfg.seed, spawn_key=(_DOM_CALIBRATION, value_index)),
     )
-    delta = discriminative_prior(prior).delta if prior.num_classes > 1 \
+    delta = discriminative_prior(prior) if prior.num_classes > 1 \
         else np.zeros(prior.feature_dim)
     # (moments, est_vars, delta) the solver designs against: per feature
     # dimension, or for the TDM closed forms one slot of per-device
@@ -562,7 +560,7 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
         if variable != "comm_snr":
             raise ValidationError(f"sweep_values must be given for a {variable} sweep")
         values = config.comm_snr_db
-    check = check_count if variable in ("K", "N") else check_real
+    check = check_count if variable == "K" else check_real
     values = [check(value, "sweep_values") for value in check_list(values, "sweep_values")]
     workers = _resolve_workers(config)
     records = []
@@ -577,8 +575,17 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
 # CSV export
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
+    """A CSV number: nine significant digits."""
     return "%.9g" % float(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and `rows` to `path` as CSV with LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def confusion_path(path: str) -> str:
@@ -591,22 +598,14 @@ def export(records, path) -> None:
     mse_mean,md_mean) plus a companion confusion-count CSV.  Numeric
     fields carry nine significant digits; output bytes depend only on the
     record contents."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sweep_value", "acc_mean", "acc_std", "mse_mean", "md_mean"])
-        for rec in records:
-            writer.writerow([_fmt(rec.sweep_value), _fmt(rec.acc_mean),
-                             _fmt(rec.acc_std), _fmt(rec.mse_mean),
-                             _fmt(rec.md_mean)])
-    with open(confusion_path(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        L = records[0].confusion.shape[0] if records else 0
-        writer.writerow(["sweep_value", "true_label"]
-                        + [f"pred_{j}" for j in range(1, L + 1)])
-        for rec in records:
-            for row_label in range(1, rec.confusion.shape[0] + 1):
-                writer.writerow([_fmt(rec.sweep_value), row_label]
-                                + [int(c) for c in rec.confusion[row_label - 1]])
+    write_csv(path, ["sweep_value", "acc_mean", "acc_std", "mse_mean", "md_mean"],
+              [[fmt(r.sweep_value), fmt(r.acc_mean), fmt(r.acc_std), fmt(r.mse_mean),
+                fmt(r.md_mean)] for r in records])
+    L = records[0].confusion.shape[0] if records else 0
+    write_csv(confusion_path(path),
+              ["sweep_value", "true_label"] + [f"pred_{j}" for j in range(1, L + 1)],
+              [[fmt(r.sweep_value), label] + [int(c) for c in counts]
+               for r in records for label, counts in enumerate(r.confusion, start=1)])
 
 
 def read_metrics_csv(path) -> list:
@@ -690,18 +689,9 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
 
 
 def export_estimator_sweep(records, path) -> None:
-    cols = ["sensing_snr_db",
-            "mse_ml", "mse_rwb", "mse_mmse",
-            "acc_ml", "acc_rwb", "acc_mmse",
-            "acc_std_ml", "acc_std_rwb", "acc_std_mmse",
-            "se_gap_rwb_ml", "se_gap_mmse_rwb"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for r in records:
-            writer.writerow([_fmt(r.sensing_snr_db),
-                             _fmt(r.mse["ml"]), _fmt(r.mse["rwb"]), _fmt(r.mse["mmse"]),
-                             _fmt(r.acc["ml"]), _fmt(r.acc["rwb"]), _fmt(r.acc["mmse"]),
-                             _fmt(r.acc_std["ml"]), _fmt(r.acc_std["rwb"]),
-                             _fmt(r.acc_std["mmse"]),
-                             _fmt(r.se_gap_rwb_ml), _fmt(r.se_gap_mmse_rwb)])
+    tags, per_tag = ("ml", "rwb", "mmse"), ("mse", "acc", "acc_std")
+    header = (["sensing_snr_db"] + [f"{col}_{tag}" for col in per_tag for tag in tags]
+              + ["se_gap_rwb_ml", "se_gap_mmse_rwb"])
+    write_csv(path, header, [
+        [fmt(r.sensing_snr_db)] + [fmt(getattr(r, col)[tag]) for col in per_tag for tag in tags]
+        + [fmt(r.se_gap_rwb_ml), fmt(r.se_gap_mmse_rwb)] for r in records])

@@ -1,9 +1,11 @@
 """Gaussian-mixture feature prior: sampling, responsibilities, Mahalanobis
-distances and the posterior-optimal classifier.
+distances, the discriminative prior and the posterior-optimal classifier.
 
 The feature vector of a labeled target is modeled as a mixture of L
 class-conditional Gaussians sharing one diagonal covariance.  Class labels
-are 1-based throughout (1..L), matching the confusion-count CSV.
+are 1-based throughout (1..L), matching the confusion-count CSV.  One
+class-score kernel serves the responsibilities and both classifiers; one
+class-pair kernel serves min_md and the discriminative prior, an array.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import (
-    ValidationError,
-    as_matrix,
-    as_vector,
-    check_finite,
-)
+from .validation import ValidationError, as_matrix, as_vector, check_finite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -69,28 +66,6 @@ class GaussianMixturePrior:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
-class DiscriminativePrior:
-    """Per-dimension minimum squared class-mean gaps.
-
-    delta[m] is the minimum of (mu[l, m] - mu[l2, m])**2 over all class
-    pairs, taken independently per dimension.  min_pair is the (1-based)
-    class pair attaining the smallest full Mahalanobis distance.
-    """
-
-    delta: np.ndarray
-    min_pair: tuple
-
-    def __post_init__(self):
-        delta = as_vector(self.delta, "delta")
-        check_finite(delta, "delta")
-        if np.any(delta < 0):
-            raise ValidationError("delta entries must be nonnegative")
-        delta.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "min_pair", (int(self.min_pair[0]), int(self.min_pair[1])))
-
-
 def _check_label(prior: GaussianMixturePrior, label: int, name="label") -> int:
     label = int(label)
     if not 1 <= label <= prior.num_classes:
@@ -117,39 +92,47 @@ def sample_arrays(prior: GaussianMixturePrior, count: int, seed) -> tuple:
     return labels, X
 
 
-def log_responsibilities_batch(prior, X, sensing_var):
-    """Log posterior class probabilities for rows of X under noisy features.
-
-    Row i of the result holds log p(class | X[i]) when X[i] is the true
-    feature plus isotropic Gaussian noise of variance `sensing_var`.
-    Normalization uses log-sum-exp so extreme inputs cannot underflow.
-    """
-    if sensing_var < 0:
-        raise ValidationError(f"sensing_var must be >= 0, got {sensing_var}")
+def _rows(prior, X, what, observed=None):
+    """X as (n, feature_dim) float rows, finite wherever the boolean mask
+    `observed` (matching X; None observes all) is True."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != prior.feature_dim:
-        raise ValidationError(
-            f"observation length {X.shape[1]} != feature_dim {prior.feature_dim}"
-        )
-    check_finite(X, "observation")
-    total_var = prior.variances + sensing_var
-    # (n, L): log pi_l - 0.5 * sum_m [log(2 pi v_m) + (x_m - mu_lm)^2 / v_m]
+    if observed is None:
+        if X.shape[1] != prior.feature_dim:
+            raise ValidationError(
+                f"{what} length {X.shape[1]} != feature_dim {prior.feature_dim}")
+        return check_finite(X, what)
+    if X.shape != observed.shape or X.shape[1] != prior.feature_dim:
+        raise ValidationError("X and observed must both be (n, feature_dim)")
+    check_finite(np.where(observed, X, 0.0), what)
+    return X
+
+
+def _log_scores(prior, X, var, observed=None):
+    """(n, L) class scores log pi_l - 0.5 sum_m (x_m - mu_lm)^2 / var_m of
+    checked rows X, the sum running over the observed dimensions only when
+    a mask is given.  A zero mixing coefficient scores -inf."""
     diff = X[:, None, :] - prior.means[None, :, :]
-    quad = np.sum(diff * diff / total_var, axis=2)
-    log_norm = 0.5 * np.sum(LOG_2PI + np.log(total_var))
+    if observed is None:
+        quad = np.sum(diff * diff / var, axis=2)
+    else:
+        quad = np.sum(observed[:, None, :] * diff * diff / var, axis=2)
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior.mixing)
-    logits = log_prior[None, :] - 0.5 * quad - log_norm
-    peak = logits.max(axis=1, keepdims=True)
-    shifted = logits - peak
-    lse = peak + np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return logits - lse
+    return log_prior[None, :] - 0.5 * quad
 
 
 def responsibilities_batch(prior, X, sensing_var):
-    """Posterior class probabilities (n, L) for rows of X; see
-    log_responsibilities_batch."""
-    out = np.exp(log_responsibilities_batch(prior, X, sensing_var))
+    """Posterior class probabilities (n, L) for rows of X, each the true
+    feature plus isotropic Gaussian noise of variance `sensing_var`;
+    normalized by log-sum-exp so extreme inputs cannot underflow."""
+    if sensing_var < 0:
+        raise ValidationError(f"sensing_var must be >= 0, got {sensing_var}")
+    X = _rows(prior, X, "observation")
+    total_var = prior.variances + sensing_var
+    logits = _log_scores(prior, X, total_var) - 0.5 * np.sum(LOG_2PI + np.log(total_var))
+    peak = logits.max(axis=1, keepdims=True)
+    lse = peak + np.log(np.sum(np.exp(logits - peak), axis=1, keepdims=True))
+    out = np.exp(logits - lse)
     # Exact renormalization: the rows already sum to 1 up to rounding.
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -167,54 +150,42 @@ def pairwise_md(prior: GaussianMixturePrior, l: int, l2: int) -> float:
     return float(np.sum(diff * diff / prior.variances))
 
 
+def _pair_gaps(prior: GaussianMixturePrior, what: str) -> tuple:
+    """(first, second, gaps): the 0-based class pairs l < l2 in
+    np.triu_indices (lexicographic) order and their (P, M) mean gaps."""
+    L = prior.num_classes
+    if L < 2:
+        raise ValidationError(f"{what} requires at least two classes")
+    first, second = np.triu_indices(L, k=1)
+    return first, second, prior.means[first] - prior.means[second]
+
+
 def min_md(prior: GaussianMixturePrior) -> tuple:
     """Minimum inter-class Mahalanobis distance and an attaining pair.
 
     Ties break toward the lexicographically smallest (l, l2) pair.
     Requires at least two classes.
     """
-    L = prior.num_classes
-    if L < 2:
-        raise ValidationError("min_md requires at least two classes")
-    best = None
-    best_pair = None
-    for l in range(1, L + 1):
-        for l2 in range(l + 1, L + 1):
-            g = pairwise_md(prior, l, l2)
-            if best is None or g < best:
-                best = g
-                best_pair = (l, l2)
-    return best, best_pair
+    first, second, gaps = _pair_gaps(prior, "min_md")
+    md = np.sum(gaps * gaps / prior.variances, axis=1)
+    # np.argmin returns the first minimizer, i.e. the smallest pair.
+    best = int(np.argmin(md))
+    return float(md[best]), (int(first[best]) + 1, int(second[best]) + 1)
 
 
-def discriminative_prior(prior: GaussianMixturePrior) -> DiscriminativePrior:
-    """Per-dimension minimum squared mean gap over all class pairs."""
-    L = prior.num_classes
-    if L < 2:
-        raise ValidationError("discriminative_prior requires at least two classes")
-    gaps = prior.means[:, None, :] - prior.means[None, :, :]
-    sq = gaps * gaps
-    iu = np.triu_indices(L, k=1)
-    delta = sq[iu].min(axis=0)
-    _, pair = min_md(prior)
-    return DiscriminativePrior(delta=delta, min_pair=pair)
+def discriminative_prior(prior: GaussianMixturePrior) -> np.ndarray:
+    """Discriminative prior delta (M,): delta[m] is the minimum of
+    (mu[l, m] - mu[l2, m])**2 over all class pairs, taken independently
+    per dimension.  Requires at least two classes."""
+    _, _, gaps = _pair_gaps(prior, "discriminative_prior")
+    return (gaps * gaps).min(axis=0)
 
 
 def map_classify_batch(prior, X):
     """Posterior-mode class indices (1-based) for rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != prior.feature_dim:
-        raise ValidationError(
-            f"input length {X.shape[1]} != feature_dim {prior.feature_dim}"
-        )
-    check_finite(X, "input")
-    diff = X[:, None, :] - prior.means[None, :, :]
-    quad = np.sum(diff * diff / prior.variances, axis=2)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(prior.mixing)
-    scores = log_prior[None, :] - 0.5 * quad
+    X = _rows(prior, X, "input")
     # np.argmax returns the first maximizer, i.e. the smallest class index.
-    return np.argmax(scores, axis=1) + 1
+    return np.argmax(_log_scores(prior, X, prior.variances), axis=1) + 1
 
 
 def map_classify_masked(prior, X, observed):
@@ -224,13 +195,6 @@ def map_classify_masked(prior, X, observed):
     marginalized from the class-conditional likelihood (a row with no
     observed dimension falls back to the mixing-coefficient argmax).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     observed = np.atleast_2d(np.asarray(observed, dtype=bool))
-    if X.shape != observed.shape or X.shape[1] != prior.feature_dim:
-        raise ValidationError("X and observed must both be (n, feature_dim)")
-    check_finite(np.where(observed, X, 0.0), "input")
-    diff = X[:, None, :] - prior.means[None, :, :]
-    quad = np.sum(observed[:, None, :] * diff * diff / prior.variances, axis=2)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(prior.mixing)
-    return np.argmax(log_prior[None, :] - 0.5 * quad, axis=1) + 1
+    X = _rows(prior, X, "input", observed)
+    return np.argmax(_log_scores(prior, X, prior.variances, observed), axis=1) + 1

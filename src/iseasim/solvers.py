@@ -83,8 +83,9 @@ def _check_data(noise_name, noise_positive, gains, budgets, moments, est_vars,
     """The data rules of the instance classes and `solve_batch`: at least
     one device and one subcarrier (a batch may hold no instances), gains,
     budgets, moments and est_vars finite and > 0, delta finite and >= 0,
-    the noise finite and > 0 if `noise_positive` (FdmInstance, the FDM dual
-    solvers), else >= 0.  A `ValidationError` names the first breach."""
+    the noise finite and > 0 if `noise_positive` (FdmInstance), else >= 0.
+    A `ValidationError` names the first breach.  The solvers' own rules
+    live in `_tdm_batch` and `_fdm_batch`."""
     if 0 in np.shape(gains)[-2:]:
         raise ValidationError("gains must hold at least one device and one subcarrier,"
                               f" got shape {np.shape(gains)}")
@@ -548,7 +549,13 @@ class _DualCore:
 
 def _fdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
     """(lam, aux, tx, rx, kkt, sweeps) of the dual solver on a batch; the
-    MD design decodes with the MSE-optimal receive rule."""
+    MD design decodes with the MSE-optimal receive rule.  Both designs need
+    noise > 0, and the MD design delta > 0 on some subcarrier of every
+    instance.  The data have passed `_check_data`."""
+    if np.any(noise == 0):
+        raise ValidationError("noise must be finite and > 0, got 0.0")
+    if kind == "md" and not np.all(np.any(delta > 0, axis=1)):
+        raise ValidationError("fdm_md_optimal requires delta > 0 on some subcarrier")
     lam, aux, tx, kkt, sweeps = _DualCore(gains, budgets, moments, est_vars,
                                           noise, delta).run(kind)
     rx = aux if kind == "mse" else receive_rule(gains, tx, est_vars, noise[:, None])
@@ -582,8 +589,7 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
     est_vars = full(est_vars, (B, K, N))
     noise = full(noise, (B,))
     delta = full(delta, (B, N))
-    _check_data("noise", name in ("fdm_mse", "fdm_md"), gains, budgets, moments,
-                est_vars, noise, delta)
+    _check_data("noise", False, gains, budgets, moments, est_vars, noise, delta)
     if name in TDM_SOLVERS:
         tx, rx, kkt, _ = _tdm_batch(name[4:], gains, budgets, moments, est_vars,
                                     noise, delta)
@@ -961,8 +967,6 @@ def solve(inst, solver: str) -> SolveReport:
         tx, rx, kkt, extras = _tdm_batch(solver[4:], *batch)
         iterations = inst.num_devices
     elif solver in ("fdm_mse", "fdm_md"):
-        if solver == "fdm_md" and np.all(delta <= 0):
-            raise ValidationError("fdm_md_optimal requires delta > 0 on some subcarrier")
         lam, aux, tx, rx, kkt, sweeps = _fdm_batch(solver[4:], *batch)
         iterations = int(sweeps[0])
         extras = {"duals": lam, "rx_power": rx * rx} if solver == "fdm_mse" \

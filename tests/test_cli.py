@@ -117,6 +117,16 @@ class TestAccuracySweep:
         err = capsys.readouterr().err
         assert "tdm_md" in err and "fdm" in err
 
+    def test_one_class_fdm_md_sweep_is_validation_error(self, tmp_path, capsys):
+        # One class has no discriminative prior (delta = 0 everywhere), so
+        # fdm_md has nothing to design against.
+        cfg = accuracy_config(tmp_path, num_classes=1, trials=20, comm_snr_db=[10.0],
+                              calibration_samples=500)
+        out = tmp_path / "o.csv"
+        assert main(["accuracy-sweep", "--config", cfg, "--output", str(out)]) == 2
+        assert "fdm_md_optimal requires delta > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         cfg = accuracy_config(tmp_path)
         assert main(["accuracy-sweep", "--config", cfg, "--frobnicate"]) == 1

@@ -93,7 +93,7 @@ class TestDefaultPrior:
 
     def test_leading_dimensions_more_discriminative(self):
         from iseasim.prior import discriminative_prior
-        delta = discriminative_prior(default_prior()).delta
+        delta = discriminative_prior(default_prior())
         assert delta[0] > delta[-1]
 
     @pytest.mark.parametrize("target", [float("nan"), 0.0, -4.0, float("inf")])
@@ -237,7 +237,7 @@ class TestSweep:
 
     def test_non_snr_sweep_needs_one_comm_snr(self):
         cfg = tiny_config(comm_snr_db=(0.0, 10.0))
-        for variable, values in (("K", [1, 2]), ("N", [4]), ("sensing_snr", [5.0])):
+        for variable, values in (("K", [1, 2]), ("sensing_snr", [5.0])):
             with pytest.raises(ValidationError, match=variable):
                 sweep(cfg, variable, values)
 
@@ -249,7 +249,7 @@ class TestSweep:
             sweep(cfg, "comm_snr", [10.0])
 
     @pytest.mark.parametrize("variable, value", [
-        ("K", 2.5), ("K", "x"), ("K", float("nan")), ("K", 0), ("N", 4.9), ("N", True),
+        ("K", 2.5), ("K", "x"), ("K", float("nan")), ("K", 0),
         ("comm_snr", "x"), ("comm_snr", float("nan")), ("sensing_snr", float("inf")),
     ])
     def test_bad_values_name_sweep_values(self, variable, value):
@@ -264,6 +264,13 @@ class TestSweep:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValidationError):
             sweep(tiny_config(), "bandwidth", [1.0])
+
+    @pytest.mark.parametrize("values", [[4], [4.9], [True]])
+    def test_n_is_not_a_sweep_variable(self, values):
+        # Only the first feature_dim subcarriers carry features, so an N
+        # sweep would change nothing but which channel draws are dropped.
+        with pytest.raises(ValidationError, match="unknown sweep_variable 'N'"):
+            sweep(tiny_config(comm_snr_db=(10.0,)), "N", values)
 
 
 class TestExport:

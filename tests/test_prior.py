@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iseasim.prior import (
-    DiscriminativePrior,
+    LOG_2PI,
     GaussianMixturePrior,
     ValidationError,
     discriminative_prior,
     map_classify_batch,
+    map_classify_masked,
     min_md,
     pairwise_md,
     responsibilities_batch,
@@ -221,7 +225,7 @@ class TestMinMd:
 class TestDiscriminativePrior:
     def test_two_classes_exact(self):
         prior = random_prior(np.random.default_rng(9), num_classes=2)
-        delta = discriminative_prior(prior).delta
+        delta = discriminative_prior(prior)
         np.testing.assert_allclose(
             delta, (prior.means[0] - prior.means[1]) ** 2)
 
@@ -229,7 +233,7 @@ class TestDiscriminativePrior:
         means = np.array([[1.0, -2.0], [3.0, 0.5], [1.0, -2.0]])
         prior = GaussianMixturePrior(means=means, variances=[1.0, 1.0],
                                      mixing=[1 / 3, 1 / 3, 1 / 3])
-        np.testing.assert_array_equal(discriminative_prior(prior).delta, 0.0)
+        np.testing.assert_array_equal(discriminative_prior(prior), 0.0)
 
     def test_matches_per_dimension_enumeration(self):
         rng = np.random.default_rng(10)
@@ -239,16 +243,12 @@ class TestDiscriminativePrior:
             for l2 in range(l + 1, prior.num_classes):
                 expected = np.minimum(
                     expected, (prior.means[l] - prior.means[l2]) ** 2)
-        np.testing.assert_allclose(discriminative_prior(prior).delta, expected)
+        np.testing.assert_allclose(discriminative_prior(prior), expected)
 
     def test_single_class_rejected(self):
         prior = GaussianMixturePrior(means=[[0.0]], variances=[1.0], mixing=[1.0])
         with pytest.raises(ValidationError):
             discriminative_prior(prior)
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValidationError):
-            DiscriminativePrior(delta=[-1.0], min_pair=(1, 2))
 
 
 class TestMapClassify:
@@ -286,3 +286,114 @@ class TestImmutability:
             prior.variances[0] = 2.0
         with pytest.raises(ValueError):
             prior.mixing[0] = 0.9
+
+
+# ---------------------------------------------------------------------------
+# bit identity against the per-function loop forms the kernels replaced
+# ---------------------------------------------------------------------------
+
+def _responsibilities_reference(prior, X, sensing_var):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    total_var = prior.variances + sensing_var
+    diff = X[:, None, :] - prior.means[None, :, :]
+    quad = np.sum(diff * diff / total_var, axis=2)
+    log_norm = 0.5 * np.sum(LOG_2PI + np.log(total_var))
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior.mixing)
+    logits = log_prior[None, :] - 0.5 * quad - log_norm
+    peak = logits.max(axis=1, keepdims=True)
+    shifted = logits - peak
+    lse = peak + np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    out = np.exp(logits - lse)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _map_classify_reference(prior, X):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    diff = X[:, None, :] - prior.means[None, :, :]
+    quad = np.sum(diff * diff / prior.variances, axis=2)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior.mixing)
+    scores = log_prior[None, :] - 0.5 * quad
+    return np.argmax(scores, axis=1) + 1
+
+
+def _map_classify_masked_reference(prior, X, observed):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    observed = np.atleast_2d(np.asarray(observed, dtype=bool))
+    diff = X[:, None, :] - prior.means[None, :, :]
+    quad = np.sum(observed[:, None, :] * diff * diff / prior.variances, axis=2)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior.mixing)
+    return np.argmax(log_prior[None, :] - 0.5 * quad, axis=1) + 1
+
+
+def _min_md_reference(prior):
+    best = best_pair = None
+    for l in range(1, prior.num_classes + 1):
+        for l2 in range(l + 1, prior.num_classes + 1):
+            g = pairwise_md(prior, l, l2)
+            if best is None or g < best:
+                best, best_pair = g, (l, l2)
+    return best, best_pair
+
+
+def _delta_reference(prior):
+    gaps = prior.means[:, None, :] - prior.means[None, :, :]
+    return (gaps * gaps)[np.triu_indices(prior.num_classes, k=1)].min(axis=0)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _priors_and_rows(draw):
+    """A prior with L = 2..11 classes in M = 1..33 dimensions (means on an
+    integer grid, which ties distances, or Gaussian; some classes
+    duplicated, which with equal weights ties scores; some mixing weights
+    zero), feature rows, a mask with an all-False row, and a sensing
+    variance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    L = draw(st.integers(2, 11))
+    M = draw(st.integers(1, 33) | st.sampled_from([8, 9, 16, 17, 32, 33]))
+    if draw(st.booleans()):
+        means = rng.integers(-2, 3, (L, M)).astype(np.float64)
+    else:
+        means = rng.normal(0.0, 2.0, (L, M))
+    for _ in range(draw(st.integers(0, 2))):
+        means[draw(st.integers(0, L - 1))] = means[draw(st.integers(0, L - 1))]
+    weights = rng.uniform(0.01, 1.0, L) if draw(st.booleans()) else np.ones(L)
+    weights[rng.random(L) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    weights[draw(st.integers(0, L - 1))] = 1.0
+    prior = GaussianMixturePrior(means=means, variances=rng.uniform(0.1, 4.0, M),
+                                 mixing=weights / weights.sum())
+    n = draw(st.integers(1, 8))
+    X = rng.normal(0.0, 5.0, (n, M))
+    if draw(st.booleans()):
+        X[0] = means[draw(st.integers(0, L - 1))]  # an exact class mean
+    observed = rng.random((n, M)) < 0.7
+    observed[draw(st.integers(0, n - 1))] = False
+    sensing_var = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 100.0))
+    return prior, X, observed, sensing_var
+
+
+class TestKernelsMatchReferences:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=_priors_and_rows())
+    def test_bit_for_bit(self, case):
+        prior, X, observed, sensing_var = case
+        _assert_same_bits(responsibilities_batch(prior, X, sensing_var),
+                          _responsibilities_reference(prior, X, sensing_var))
+        _assert_same_bits(map_classify_batch(prior, X), _map_classify_reference(prior, X))
+        _assert_same_bits(map_classify_masked(prior, X, observed),
+                          _map_classify_masked_reference(prior, X, observed))
+        value, pair = min_md(prior)
+        want_value, want_pair = _min_md_reference(prior)
+        assert type(value) is float and type(pair[0]) is int
+        assert pair == want_pair
+        _assert_same_bits(value, want_value)
+        _assert_same_bits(discriminative_prior(prior), _delta_reference(prior))

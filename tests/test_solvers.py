@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -425,6 +426,26 @@ class TestSolveBatch:
         with pytest.raises(ValidationError, match=f"^{field} must be finite"):
             cls(gains=g, budgets=budgets, moments=moments, est_vars=est_vars,
                 noise_var=noise, delta=delta)
+
+    @pytest.mark.parametrize("name, arg, match", [
+        ("fdm_md", "delta", "^fdm_md_optimal requires delta > 0 on some subcarrier"),
+        ("fdm_mse", "noise", "^noise must be finite and > 0, got 0.0"),
+        ("fdm_md", "noise", "^noise must be finite and > 0, got 0.0"),
+    ])
+    def test_solver_rules_are_the_same_for_solve_and_solve_batch(self, name, arg, match):
+        # Rules of a solver, not of the instance classes: an FdmInstance
+        # may have delta = 0 everywhere and a TdmInstance zero noise.
+        rng = np.random.default_rng(29)
+        if arg == "delta":
+            good = random_fdm_instance(rng, 3, 2)
+            bad = replace(good, delta=np.zeros(2))
+        else:
+            good = random_tdm_instance(rng, 3)
+            bad = replace(good, noise_var=0.0)
+        with pytest.raises(ValidationError, match=match):
+            solve(bad, name)
+        with pytest.raises(ValidationError, match=match):
+            solve_batch(name, *_stack([good, bad]))
 
     @pytest.mark.parametrize("name", SOLVER_NAMES)
     def test_zero_size_inputs(self, name):
