@@ -1,7 +1,8 @@
 """Over-the-air aggregation model: the transceiver design and the batched
 kernels of the receive rule, the aggregation MSE and the received
 Mahalanobis distance.  The aggregated receive vector of each trial is
-formed in `pipeline.run_trials_batch`.
+formed in `pipeline.run_trials_batch`, per sweep point of a chunk of
+trials.
 
 Real nonnegative signal model: device phases are assumed pre-compensated
 through TDD reciprocity, so only the magnitudes of channel gains and
@@ -110,7 +111,7 @@ def _signal_noise(hb, est_vars, noise):
     """sum_k (h b)^2 shat^2 + noise.  Callers evaluate it before any other
     per-subcarrier sum, so that no (..., N) array is alive while its
     (..., K, N) temporaries set the peak memory of a large batch."""
-    return np.sum(hb * hb * est_vars, axis=-2) + noise
+    return (hb * hb * est_vars).sum(axis=-2) + noise
 
 
 def receive_rule(gains, tx, est_vars, noise):
@@ -118,15 +119,15 @@ def receive_rule(gains, tx, est_vars, noise):
     a_n = sum_k h b shat^2 / (sum_k (h b)^2 shat^2 + noise)."""
     hb = gains * tx
     den = _signal_noise(hb, est_vars, noise)
-    return _ratio(np.sum(hb * est_vars, axis=-2), den)
+    return _ratio((hb * est_vars).sum(axis=-2), den)
 
 
 def mse_at_rx(gains, tx, rx, est_vars, noise):
     """Aggregation MSE summed over devices and subcarriers at the receive
     coefficients rx: sum_kn (a_n h b - 1)^2 shat^2 + sum_n a_n^2 noise."""
     misalign = rx[..., None, :] * gains * tx - 1.0
-    return np.sum(misalign * misalign * est_vars, axis=(-2, -1)) \
-        + np.sum(rx * rx, axis=-1) * noise
+    return (misalign * misalign * est_vars).sum(axis=(-2, -1)) \
+        + (rx * rx).sum(axis=-1) * noise
 
 
 def mse_min_rx(gains, tx, est_vars, noise):
@@ -134,7 +135,7 @@ def mse_min_rx(gains, tx, est_vars, noise):
     sum_k shat^2 - (sum_k h b shat^2)^2 / (sum_k (h b)^2 shat^2 + noise)."""
     hb = gains * tx
     den = _signal_noise(hb, est_vars, noise)
-    return np.sum(est_vars, axis=-2) - _ratio(np.sum(hb * est_vars, axis=-2) ** 2, den)
+    return est_vars.sum(axis=-2) - _ratio((hb * est_vars).sum(axis=-2) ** 2, den)
 
 
 def md_received(gains, tx, est_vars, noise, delta):
@@ -142,4 +143,4 @@ def md_received(gains, tx, est_vars, noise, delta):
     delta_n (sum_k h b)^2 / (sum_k (h b)^2 shat^2 + noise)."""
     hb = gains * tx
     den = _signal_noise(hb, est_vars, noise)
-    return _ratio(delta * np.sum(hb, axis=-2) ** 2, den)
+    return _ratio(delta * hb.sum(axis=-2) ** 2, den)

@@ -3,8 +3,10 @@
 Each trial walks the full chain: draw a labeled feature, observe it at
 every device through sensing noise, estimate locally, solve the
 transceiver design for a fresh channel draw, aggregate over the air,
-decode, classify.  Sweeps run independent trial batches per swept value
-and reduce them into MetricsRecord rows for CSV export.
+decode, classify.  A sweep builds the context of every swept value
+first, then runs the (value, trial) pairs as one stream of chunks that may
+cross values -- serially or on one process pool for the whole sweep --
+and reduces each value's trials into a MetricsRecord row for CSV export.
 
 Determinism: every random quantity flows from the root seed through
 numpy SeedSequence spawn keys of the form (domain, value_index,
@@ -63,6 +65,16 @@ ERASURE_FACTOR = 9.0
 # A sweep point fails when more than this share of its trials miss the
 # KKT gate.
 EXCLUSION_LIMIT = 0.01
+
+# A sweep runs its (point, trial) pairs as one stream of chunks of about
+# this many trials, each solved by one `solve_batch` call per (K, M)
+# shape.  The FDM polish pays its per-sweep numpy overhead once per chunk,
+# so larger chunks cost less per trial (on a 2-vCPU Xeon, numpy 2.4.6: at
+# K = 3, 690 us a trial in chunks of 128, 393 at 2048, 345 at 4608; at
+# K = 8, about 810 us from 1024 up), while the chunk's working arrays grow
+# by about 5 KiB a trial at K = 8 (peak RSS 47 MiB at 1024, 49 at 2048,
+# 61 at 4096).
+CHUNK_TRIALS = 2048
 
 # Default per-trial convergence gate (solver_opts["kkt_tol"]): the refined
 # designs reach their objective to ~1e-8 well before the stationarity
@@ -393,29 +405,54 @@ def _estimate_all(ctx: TrialContext, labels, X_tilde):
     return X_hat
 
 
-def _solve_designs(ctx: TrialContext, gains_used):
-    """Designs for every trial on the context's design statistics, whose S
-    columns (M, or one TDM slot) are broadcast over the M features.  The
-    TDM closed forms run per trial through `tdm_*_optimal` (`solve_batch`
-    at B=1), whose calls the perfbench trace counts per trial.
+def _solve_designs(ctxs, gains):
+    """Designs for the trials of one chunk: `gains[i]` (T_i, K, M) holds
+    the used channel gains of the trials of context `ctxs[i]`, whose
+    design statistics' S columns (M, or one TDM slot) are broadcast over
+    the M features.  The trials of every context that shares a solver and
+    a (K, M) shape are solved by one `solve_batch` call, each row with its
+    own context's budgets, moments, est_vars, noise and delta.  The TDM
+    closed forms run per trial through `tdm_*_optimal` (`solve_batch` at
+    B=1), whose calls the perfbench trace counts per trial.
 
-    Returns (tx (T,K,M), rx (T,M), kkt (T,)).  Per-trial results are
-    bit-identical no matter how trials are chunked across workers.
+    Returns (tx, rx, kkt): one tx (T_i, K, M) and rx (T_i, M) per context
+    and kkt flat over the chunk, in context order.  Per-trial results are
+    bit-identical however trials are chunked, because `solve_batch` is.
     """
-    moments, est_vars, delta = ctx.design_stats
-    T, K, M = gains_used.shape
-    if ctx.solver in solvers.TDM_SOLVERS:
+    tx, rx, kkt = [None] * len(ctxs), [None] * len(ctxs), [None] * len(ctxs)
+    groups = {}
+    for i, (ctx, g) in enumerate(zip(ctxs, gains)):
+        if ctx.solver not in solvers.TDM_SOLVERS:
+            groups.setdefault((ctx.solver, g.shape[1:]), []).append(i)
+            continue
+        moments, est_vars, delta = ctx.design_stats
         solve_one = solvers.tdm_mse_optimal if ctx.solver == "tdm_mse" else solvers.tdm_md_optimal
-        tx, rx, kkt = np.empty((T, K, 1)), np.empty((T, 1)), np.empty(T)
-        for i in range(T):
+        T, K, M = g.shape
+        t, r, k = np.empty((T, K, 1)), np.empty((T, 1)), np.empty(T)
+        for j in range(T):
             report = solve_one(solvers.TdmInstance(
-                gains=gains_used[i, :, 0], budgets=ctx.budgets, moments=moments[:, 0],
+                gains=g[j, :, 0], budgets=ctx.budgets, moments=moments[:, 0],
                 est_vars=est_vars[:, 0], noise_var=ctx.noise_var, delta=float(delta[0])))
-            tx[i], rx[i], kkt[i] = report.design.tx, report.design.rx, report.kkt_residual
-    else:
-        tx, rx, kkt = solvers.solve_batch(ctx.solver, gains_used, ctx.budgets, moments,
-                                          est_vars, ctx.noise_var, delta)
-    return np.broadcast_to(tx, (T, K, M)), np.broadcast_to(rx, (T, M)), kkt
+            t[j], r[j], k[j] = report.design.tx, report.design.rx, report.kkt_residual
+        tx[i], rx[i], kkt[i] = np.broadcast_to(t, (T, K, M)), np.broadcast_to(r, (T, M)), k
+    for (name, _), members in groups.items():
+        sizes = [gains[i].shape[0] for i in members]
+
+        def rows(values):
+            """One row per trial: each member's value repeated T_i times."""
+            return np.repeat(np.asarray(values, dtype=np.float64), sizes, axis=0)
+
+        stats = [ctxs[i].design_stats for i in members]
+        t, r, k = solvers.solve_batch(
+            name, np.concatenate([gains[i] for i in members]),
+            rows([ctxs[i].budgets for i in members]),
+            rows([s[0] for s in stats]), rows([s[1] for s in stats]),
+            rows([ctxs[i].noise_var for i in members]), rows([s[2] for s in stats]))
+        bounds = np.cumsum(sizes)[:-1]
+        for i, ti, ri, ki in zip(members, np.split(t, bounds), np.split(r, bounds),
+                                 np.split(k, bounds)):
+            tx[i], rx[i], kkt[i] = ti, ri, ki
+    return tx, rx, np.concatenate(kkt)
 
 
 def _decode(ctx: TrialContext, y_hat, rx, hb):
@@ -437,36 +474,47 @@ def _decode(ctx: TrialContext, y_hat, rx, hb):
     return np.where(observed, y_hat / safe, 0.0), observed
 
 
-def run_trials_batch(ctx: TrialContext, trial_indices) -> dict:
-    """Execute the full chain for the given trial indices; returns
-    per-trial arrays (labels, predictions, analytic MSE and MD of the
-    solved designs, convergence flags, plus the paired noise-free-channel
-    and clean-feature predictions)."""
-    prior = ctx.prior
-    labels, X, X_tilde, gains, w = _draw_trials(ctx, trial_indices)
-    X_hat = _estimate_all(ctx, labels, X_tilde)
-    M = prior.feature_dim
-    gains_used = gains[:, :, :M]
-    tx, rx, kkt = _solve_designs(ctx, gains_used)
+def run_trials_batch(segments) -> list:
+    """Execute the full chain for one chunk of trials.  `segments` lists
+    (ctx, trial_indices) pairs, which may belong to different sweep
+    points; each segment is drawn, estimated, decoded and classified on
+    its own context, and `_solve_designs` solves the designs of the whole
+    chunk at once.  Returns one dict per segment of per-trial arrays
+    (labels, predictions, analytic MSE and MD of the solved designs,
+    convergence flags, plus the paired noise-free-channel and
+    clean-feature predictions)."""
+    drawn = []
+    for ctx, trial_indices in segments:
+        labels, X, X_tilde, gains, w = _draw_trials(ctx, trial_indices)
+        X_hat = _estimate_all(ctx, labels, X_tilde)
+        drawn.append((labels, X, X_hat, gains[:, :, :ctx.prior.feature_dim], w))
+    tx_all, rx_all, kkt_all = _solve_designs([ctx for ctx, _ in segments],
+                                             [d[3] for d in drawn])
+    outs = []
+    start = 0
+    for (ctx, _), (labels, X, X_hat, gains_used, w), tx, rx in zip(segments, drawn,
+                                                                   tx_all, rx_all):
+        prior = ctx.prior
+        kkt = kkt_all[start:start + labels.size]
+        start += labels.size
+        hb = gains_used * tx                                         # (T, K, M)
+        y_raw = np.sum(hb * X_hat, axis=1) + w                       # (T, M)
+        y_hat = rx * y_raw
+        decoded, observed = _decode(ctx, y_hat, rx, hb)
 
-    hb = gains_used * tx                                         # (T, K, M)
-    y_raw = np.sum(hb * X_hat, axis=1) + w                       # (T, M)
-    y_hat = rx * y_raw
-    decoded, observed = _decode(ctx, y_hat, rx, hb)
+        preds = map_classify_masked(prior, decoded, observed)
+        ideal_preds = map_classify_batch(prior, X_hat.mean(axis=1))
+        clean_preds = map_classify_batch(prior, X)
 
-    preds = map_classify_masked(prior, decoded, observed)
-    ideal_preds = map_classify_batch(prior, X_hat.mean(axis=1))
-    clean_preds = map_classify_batch(prior, X)
-
-    mse = mse_at_rx(gains_used, tx, rx, ctx.sigma_hat, ctx.noise_var)
-    md = np.sum(md_received(gains_used, tx, ctx.sigma_hat, ctx.noise_var, ctx.delta),
-                axis=1)
-    converged = kkt <= ctx.kkt_tol
-    return {
-        "labels": labels, "preds": preds, "mse": mse, "md": md,
-        "converged": converged, "ideal_preds": ideal_preds,
-        "clean_preds": clean_preds,
-    }
+        mse = mse_at_rx(gains_used, tx, rx, ctx.sigma_hat, ctx.noise_var)
+        md = np.sum(md_received(gains_used, tx, ctx.sigma_hat, ctx.noise_var, ctx.delta),
+                    axis=1)
+        outs.append({
+            "labels": labels, "preds": preds, "mse": mse, "md": md,
+            "converged": kkt <= ctx.kkt_tol, "ideal_preds": ideal_preds,
+            "clean_preds": clean_preds,
+        })
+    return outs
 
 
 def run_trial(config: ExperimentConfig, trial_seed: int,
@@ -476,7 +524,7 @@ def run_trial(config: ExperimentConfig, trial_seed: int,
     index inside the root seed's stream."""
     value = config.comm_snr_db[0] if comm_snr_db is None else comm_snr_db
     ctx = build_context(config, "comm_snr", value, 0)
-    out = run_trials_batch(ctx, [int(trial_seed)])
+    out, = run_trials_batch([(ctx, [int(trial_seed)])])
     if not out["converged"][0]:
         raise NonConvergenceError(
             f"trial {trial_seed}: solver failed to converge"
@@ -488,11 +536,6 @@ def run_trial(config: ExperimentConfig, trial_seed: int,
 # ---------------------------------------------------------------------------
 # sweeps and reductions
 # ---------------------------------------------------------------------------
-
-def _worker_chunk(args):
-    ctx, lo, hi = args
-    return run_trials_batch(ctx, range(lo, hi))
-
 
 def _resolve_workers(config: ExperimentConfig) -> int:
     if config.workers is not None:
@@ -507,15 +550,20 @@ def _resolve_workers(config: ExperimentConfig) -> int:
     return check_count(workers, WORKERS_ENV)
 
 
-def _run_value(ctx: TrialContext, trials: int, workers: int) -> dict:
-    if workers <= 1:
-        return run_trials_batch(ctx, range(trials))
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    chunks = [(ctx, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
-              if hi > lo]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker_chunk, chunks))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+def _chunks(points: int, trials: int, workers: int) -> list:
+    """The (point, trial) pairs of a sweep, point-major, cut into
+    max(workers, ceil(total / CHUNK_TRIALS)) near-equal contiguous chunks
+    that may cross point boundaries.  Each chunk is a list of (point, lo,
+    hi) segments, one per point it touches, trials lo..hi-1."""
+    total = points * trials
+    n_chunks = max(workers, -(-total // CHUNK_TRIALS))
+    bounds = [c * total // n_chunks for c in range(n_chunks + 1)]
+    chunks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            chunks.append([(p, max(lo - p * trials, 0), min(hi - p * trials, trials))
+                           for p in range(lo // trials, (hi - 1) // trials + 1)])
+    return chunks
 
 
 def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> MetricsRecord:
@@ -552,7 +600,10 @@ def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> Metric
 
 
 def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
-    """Independent Monte Carlo batches for each swept value."""
+    """One MetricsRecord per swept value.  Every point's context is built
+    first; the trials of all points then run as one stream of chunks
+    (`_chunks`), serially or on one process pool, and each point's
+    per-trial outputs are reduced in trial order."""
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(
             f"unknown sweep_variable {variable!r}; expected one of {SWEEP_VARIABLES}")
@@ -563,10 +614,22 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
     check = check_count if variable == "K" else check_real
     values = [check(value, "sweep_values") for value in check_list(values, "sweep_values")]
     workers = _resolve_workers(config)
+    ctxs = [build_context(config, variable, value, v_idx)
+            for v_idx, value in enumerate(values)]
+    chunks = _chunks(len(ctxs), config.trials, workers)
+    batches = [[(ctxs[p], range(lo, hi)) for p, lo, hi in chunk] for chunk in chunks]
+    if workers <= 1:
+        results = map(run_trials_batch, batches)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_trials_batch, batches))
+    parts = [[] for _ in ctxs]
+    for chunk, outs in zip(chunks, results):
+        for (p, _, _), out in zip(chunk, outs):
+            parts[p].append(out)
     records = []
-    for v_idx, value in enumerate(values):
-        ctx = build_context(config, variable, value, v_idx)
-        out = _run_value(ctx, config.trials, workers)
+    for value, outs in zip(values, parts):
+        out = {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
         records.append(_reduce(config, variable, value, out))
     return records
 

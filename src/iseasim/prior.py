@@ -112,10 +112,10 @@ def _log_scores(prior, X, var, observed=None):
     checked rows X, the sum running over the observed dimensions only when
     a mask is given.  A zero mixing coefficient scores -inf."""
     diff = X[:, None, :] - prior.means[None, :, :]
-    if observed is None:
-        quad = np.sum(diff * diff / var, axis=2)
-    else:
-        quad = np.sum(observed[:, None, :] * diff * diff / var, axis=2)
+    if observed is not None:
+        # where, not a product: 0 * inf in an unobserved dimension is nan
+        diff = np.where(observed[:, None, :], diff, 0.0)
+    quad = np.sum(diff * diff / var, axis=2)
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior.mixing)
     return log_prior[None, :] - 0.5 * quad

@@ -90,12 +90,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def case_hashes(case, workdir) -> dict:
-    """{output name: sha256} of one case, run in `workdir`."""
+def case_hashes(case, workdir, **overrides) -> dict:
+    """{output name: sha256} of one case, run in `workdir` with the config
+    keys in `overrides` replaced."""
     command, config, outputs = CASES[case]
     workdir = pathlib.Path(workdir)
     cfg = workdir / "config.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(dict(config, **overrides)))
     argv = [command, "--config", str(cfg)]
     if outputs != ("stdout",):
         argv += ["--output", str(workdir / "out.csv")]
@@ -113,6 +114,15 @@ def test_output_bytes_are_pinned(case, tmp_path):
         pytest.skip(f"golden bytes were made with numpy {GOLDEN_NUMPY}; "
                     f"this is numpy {np.__version__}")
     assert case_hashes(case, tmp_path) == GOLDEN[case]
+
+
+def test_parallel_fdm_sweep_writes_the_serial_pin(tmp_path):
+    # Two workers split the sweep into chunks that cross sweep points; the
+    # bytes must still be the serial run's.
+    if np.__version__ != GOLDEN_NUMPY:
+        pytest.skip(f"golden bytes were made with numpy {GOLDEN_NUMPY}; "
+                    f"this is numpy {np.__version__}")
+    assert case_hashes("accuracy-fdm", tmp_path, workers=2) == GOLDEN["accuracy-fdm"]
 
 
 if __name__ == "__main__":

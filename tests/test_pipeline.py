@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo experiment runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,7 @@ class TestRunTrial:
         cfg = tiny_config(sensing_vars=(0.0, 0.0, 0.0), noise_var=1e-12,
                           estimator="ml", solver="equal")
         ctx = pipeline.build_context(cfg, "comm_snr", 180.0, 0)
-        out = pipeline.run_trials_batch(ctx, range(30))
+        out, = pipeline.run_trials_batch([(ctx, range(30))])
         labels, X, _, _, _ = pipeline._draw_trials(ctx, range(30))
         np.testing.assert_array_equal(out["preds"],
                                       map_classify_batch(ctx.prior, X))
@@ -153,7 +155,7 @@ class TestRunTrial:
     def test_matches_batch_path(self):
         cfg = tiny_config(solver="fdm_md")
         ctx = pipeline.build_context(cfg, "comm_snr", 10.0, 0)
-        out = pipeline.run_trials_batch(ctx, [5])
+        out, = pipeline.run_trials_batch([(ctx, [5])])
         single = run_trial(cfg, 5)
         assert single == (int(out["labels"][0]), int(out["preds"][0]),
                           float(out["mse"][0]), float(out["md"][0]))
@@ -271,6 +273,81 @@ class TestSweep:
         # sweep would change nothing but which channel draws are dropped.
         with pytest.raises(ValidationError, match="unknown sweep_variable 'N'"):
             sweep(tiny_config(comm_snr_db=(10.0,)), "N", values)
+
+
+def _record_fields(rec):
+    return (rec.sweep_value, rec.acc_mean, rec.acc_std, rec.mse_mean, rec.md_mean,
+            rec.confusion.tolist(), rec.n_trials, rec.n_excluded,
+            rec.ideal_acc_mean, rec.clean_acc_mean)
+
+
+# (config, variable, values): a comm-SNR fdm_md sweep, a K sweep whose
+# chunks mix (K, M) shapes, and a tdm_md sweep on the per-trial closed form.
+_STREAM_CASES = {
+    "fdm_md": (dict(trials=11, calibration_samples=500), "comm_snr", [-10.0, 10.0, 40.0]),
+    "K": (dict(trials=11, calibration_samples=500, comm_snr_db=(10.0,)), "K", [1, 2, 4]),
+    "tdm_md": (dict(trials=11, calibration_samples=500, scheme="tdm", solver="tdm_md"),
+               "comm_snr", [0.0, 20.0]),
+}
+
+
+class TestChunkedStream:
+    @pytest.mark.parametrize("points, trials, workers", [
+        (1, 1, 1), (3, 11, 1), (3, 11, 2), (2, 5, 8), (9, 200, 1), (4, 3000, 3)])
+    def test_chunks_cover_every_trial_once_in_order(self, points, trials, workers):
+        chunks = pipeline._chunks(points, trials, workers)
+        total = points * trials
+        assert len(chunks) == min(total, max(workers, -(-total // pipeline.CHUNK_TRIALS)))
+        flat = [(p, t) for chunk in chunks for p, lo, hi in chunk for t in range(lo, hi)]
+        assert flat == [(p, t) for p in range(points) for t in range(trials)]
+        sizes = [sum(hi - lo for _, lo, hi in chunk) for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+    def test_chunk_size_does_not_change_results(self, monkeypatch, tmp_path, case, workers):
+        config, variable, values = _STREAM_CASES[case]
+        cfg = ExperimentConfig(**config, workers=workers)
+        outputs = []
+        for chunk in (pipeline.CHUNK_TRIALS, 1, 7, 64):
+            monkeypatch.setattr(pipeline, "CHUNK_TRIALS", chunk)
+            recs = sweep(cfg, variable, values)
+            path = tmp_path / f"c{chunk}.csv"
+            export(recs, path)
+            outputs.append(([_record_fields(r) for r in recs], path.read_bytes(),
+                            (tmp_path / f"c{chunk}_confusion.csv").read_bytes()))
+        assert all(out == outputs[0] for out in outputs[1:])
+
+    @pytest.mark.parametrize("variable, values", [("comm_snr", [0.0, 30.0]), ("K", [2, 3])])
+    def test_chunk_across_points_equals_each_point_alone(self, variable, values):
+        cfg = tiny_config(comm_snr_db=(10.0,), calibration_samples=500)
+        ctx0, ctx1 = (pipeline.build_context(cfg, variable, v, i) for i, v in enumerate(values))
+        both = pipeline.run_trials_batch([(ctx0, range(5, 10)), (ctx1, range(0, 4))])
+        alone = (pipeline.run_trials_batch([(ctx0, range(5, 10))])
+                 + pipeline.run_trials_batch([(ctx1, range(0, 4))]))
+        assert len(both) == len(alone) == 2
+        for got, want in zip(both, alone):
+            assert got.keys() == want.keys()
+            for key in got:
+                assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_memory_stays_bounded_as_trials_grow(self, monkeypatch):
+        # Only the per-trial outputs (a few dozen bytes a trial) may grow
+        # with the trial count; the chunk's working arrays must not.
+        chunk = 16
+        monkeypatch.setattr(pipeline, "CHUNK_TRIALS", chunk)
+
+        def peak(trials):
+            cfg = tiny_config(trials=trials, num_devices=8, calibration_samples=50)
+            tracemalloc.start()
+            try:
+                sweep(cfg, "comm_snr", [10.0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(chunk)  # first-call allocations (caches, lazy imports) out of the way
+        assert peak(8 * chunk) <= 1.25 * peak(chunk)
 
 
 class TestExport:

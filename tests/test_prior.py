@@ -276,6 +276,14 @@ class TestMapClassify:
         with pytest.raises(ValidationError):
             map_classify_batch(prior, [[np.nan, 0.0, 0.0, 0.0]])
 
+    def test_masked_ignores_non_finite_unobserved_values(self):
+        # an inf in an unobserved dimension used to turn every score into
+        # nan, and argmax then returned class 1
+        prior = GaussianMixturePrior(means=[[0.0, 0.0], [5.0, 5.0]], variances=[1.0, 1.0],
+                                     mixing=[0.5, 0.5])
+        np.testing.assert_array_equal(
+            map_classify_masked(prior, [[5.0, np.inf]], np.array([[True, False]])), [2])
+
 
 class TestImmutability:
     def test_prior_arrays_are_write_locked(self):
