@@ -84,9 +84,7 @@ def _cmd_estimator_sweep(args) -> int:
         data.get("min_md_target", 4.0),
         check_count(data.get("prior_seed", 1234), "prior_seed", 0),
     )
-    grid = check_reals(data.get("sensing_snr_grid_db",
-                                [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]),
-                       "sensing_snr_grid_db")
+    grid = data.get("sensing_snr_grid_db", [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
     records = pipeline.estimator_sweep(
         prior, data.get("num_devices", 3), grid, data.get("trials", 20000), seed)
     pipeline.export_estimator_sweep(records, args.output)

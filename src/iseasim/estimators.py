@@ -15,6 +15,15 @@ Each device observes the true feature through additive Gaussian noise
 Each estimate comes with its per-element posterior variance under the
 estimator's moment-matched Gaussian model; transceiver design consumes
 the average of those variances over a calibration set.
+
+The rwb kernel, like the class scores in `prior`, works class-major: on
+(L, M, n) arrays with the row axis innermost, so each ufunc's inner loop
+runs over the n rows instead of the M features.  Its results are bit for
+bit those of the row-major (n, L, M) formulation, because every sum adds
+its terms in the order numpy adds them in that layout: a sum along the
+row-major innermost axis is pairwise from 8 terms on (`prior` keeps that
+rule in one helper), and a sum along its middle class axis runs in index
+order except at M = 1 (`_class_sum`).
 """
 
 from __future__ import annotations
@@ -53,23 +62,41 @@ def mmse_posterior_var(prior, sensing_var):
     return v * sensing_var / (v + sensing_var)
 
 
+def _class_sum(a):
+    """Sum of a class-major (L, M, n) array over its class axis, bit for bit
+    as np.sum over axis 1 of the same values laid out (n, L, M).  numpy
+    adds that middle axis in index order, as np.sum over the leading axis
+    does here, except at M = 1: there the class axis is the innermost one
+    left and numpy sums it pairwise, so that case is summed in the
+    row-major layout."""
+    if a.shape[1] == 1:
+        return np.sum(np.ascontiguousarray(a.transpose(2, 0, 1)), axis=1).T
+    return np.sum(a, axis=0)
+
+
 def rwb_estimate_batch(prior, X_tilde, sensing_var):
     """Responsibility-weighted Bayesian estimates for rows of X_tilde, with
     the responsibilities computed under the true sensing variance.
 
-    Returns (X_hat, posterior_var), each of shape (n, M).
+    Returns (X_hat, posterior_var), each of shape (n, M): the transposed
+    views of class-major (M, n) results.
     """
     X_tilde = np.atleast_2d(np.asarray(X_tilde, dtype=np.float64))
-    theta = responsibilities_batch(prior, X_tilde, sensing_var)  # (n, L)
+    theta = responsibilities_batch(prior, X_tilde, sensing_var).T[:, None, :]  # (L, 1, n)
     v = prior.variances
     s = sensing_var
     shrink = v / (v + s)                                  # (M,)
-    bar_mu = shrink * X_tilde[:, None, :] + (1.0 - shrink) * prior.means[None, :, :]
-    x_hat = np.sum(theta[:, :, None] * bar_mu, axis=1)    # (n, M)
+    bar_mu = (shrink[:, None] * X_tilde.T.copy())[None, :, :] \
+        + ((1.0 - shrink) * prior.means)[:, :, None]      # (L, M, n)
+    weighted = theta * bar_mu
+    x_hat = _class_sum(weighted)                          # (M, n)
     bar_var = mmse_posterior_var(prior, s)
-    spread = bar_mu - x_hat[:, None, :]
-    post_var = bar_var + np.sum(theta[:, :, None] * spread * spread, axis=1)
-    return x_hat, post_var
+    # In place, reusing the two (L, M, n) arrays, as in prior._log_scores.
+    spread = np.subtract(bar_mu, x_hat[None, :, :], out=bar_mu)
+    np.multiply(theta, spread, out=weighted)
+    weighted *= spread
+    post_var = bar_var[:, None] + _class_sum(weighted)
+    return x_hat.T, post_var.T
 
 
 def estimate_batch(tag, prior, X_tilde, sensing_var, labels=None):

@@ -40,6 +40,7 @@ from .validation import (
     NonConvergenceError,
     ValidationError,
     check_count,
+    check_db,
     check_list,
     check_real,
     check_reals,
@@ -73,7 +74,9 @@ EXCLUSION_LIMIT = 0.01
 # K = 3, 690 us a trial in chunks of 128, 393 at 2048, 345 at 4608; at
 # K = 8, about 810 us from 1024 up), while the chunk's working arrays grow
 # by about 5 KiB a trial at K = 8 (peak RSS 47 MiB at 1024, 49 at 2048,
-# 61 at 4096).
+# 61 at 4096).  `calibrate` runs the estimator in blocks of this many
+# samples too (at L = 5, M = 4, 2.4 ms per 10,000 rwb rows in blocks of
+# 2048 or 4096, 2.8 at 1024, 5.2 in one block).
 CHUNK_TRIALS = 2048
 
 # Default per-trial convergence gate (solver_opts["kkt_tol"]): the refined
@@ -114,10 +117,11 @@ class ExperimentConfig:
             check_count(getattr(self, name), name, 0)
         if self.workers is not None:
             check_count(self.workers, "workers")
-        object.__setattr__(self, "comm_snr_db", check_reals(self.comm_snr_db, "comm_snr_db"))
+        object.__setattr__(self, "comm_snr_db", tuple(
+            check_db(v, "comm_snr_db") for v in check_list(self.comm_snr_db, "comm_snr_db")))
         check_real(self.noise_var, "noise_var", 0, strict=True)
         check_real(self.min_md_target, "min_md_target", 0, strict=True)
-        check_real(self.sensing_snr_db, "sensing_snr_db")
+        check_db(self.sensing_snr_db, "sensing_snr_db")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.feature_dim > self.num_subcarriers:
@@ -247,7 +251,14 @@ def calibrate(prior: GaussianMixturePrior, sensing_vars, estimator: str,
               n_samples: int, seed) -> Calibration:
     """Estimate sigma_hat^2 (mean posterior variance) and nu^2 (mean
     squared estimate) per device and feature dimension from a seeded
-    offline sample run."""
+    offline sample run.
+
+    The estimator runs on blocks of CHUNK_TRIALS samples, so its
+    class-major working arrays (L * M doubles a sample each) stay the size
+    of one block however many samples there are.  The blocks fill one
+    C-ordered (n_samples, M) array each of estimates and posterior
+    variances, whose means over all samples are taken at once: blocking
+    does not move a bit."""
     sensing_vars = np.asarray(sensing_vars, dtype=np.float64)
     K = sensing_vars.shape[0]
     M = prior.feature_dim
@@ -256,10 +267,14 @@ def calibrate(prior: GaussianMixturePrior, sensing_vars, estimator: str,
     labels, X = sample_arrays(prior, n_samples, children[0])
     sigma_hat = np.empty((K, M))
     nu2 = np.empty((K, M))
+    X_hat = np.empty((n_samples, M))
+    pv = np.empty((n_samples, M))
     for k in range(K):
         X_tilde = observe_batch(X, sensing_vars[k], children[k + 1])
-        X_hat, pv = estimate_batch(estimator, prior, X_tilde, sensing_vars[k],
-                                   labels=labels)
+        for lo in range(0, n_samples, CHUNK_TRIALS):
+            block = slice(lo, lo + CHUNK_TRIALS)
+            X_hat[block], pv[block] = estimate_batch(
+                estimator, prior, X_tilde[block], sensing_vars[k], labels=labels[block])
         sigma_hat[k] = np.maximum(pv.mean(axis=0), _EST_VAR_FLOOR)
         nu2[k] = np.maximum((X_hat * X_hat).mean(axis=0), _EST_VAR_FLOOR)
     return Calibration(sigma_hat=sigma_hat, nu2=nu2)
@@ -335,6 +350,13 @@ def build_context(config: ExperimentConfig, variable: str, value,
         prior, sensing_vars, cfg.estimator, cfg.calibration_samples,
         np.random.SeedSequence(cfg.seed, spawn_key=(_DOM_CALIBRATION, value_index)),
     )
+    finite = np.isfinite(cal.sigma_hat).all(axis=1) & np.isfinite(cal.nu2).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValidationError(
+            f"calibration of device {k} at sweep point {value_index} ({variable}={value!r}, "
+            f"sensing variance {float(sensing_vars[k])!r}) gave non-finite statistics: "
+            f"sigma_hat^2 {cal.sigma_hat[k].tolist()}, nu^2 {cal.nu2[k].tolist()}")
     delta = discriminative_prior(prior) if prior.num_classes > 1 \
         else np.zeros(prior.feature_dim)
     # (moments, est_vars, delta) the solver designs against: per feature
@@ -364,8 +386,11 @@ def build_context(config: ExperimentConfig, variable: str, value,
 
 def _draw_trials(ctx: TrialContext, trial_indices):
     """Per-trial seeded draws: labels, features, sensing noise, channel
-    gains and receiver noise.  Each trial owns four child streams so the
-    draws never depend on batch composition."""
+    gains and receiver noise.  Each trial owns four child streams, the
+    children (_DOM_TRIAL, value_index, trial, j) of the root seed, so the
+    draws never depend on batch composition.  A label is drawn as
+    `Generator.choice(L, p=mixing)` draws it: one uniform, located in the
+    normalized cumulative mixing weights."""
     prior = ctx.prior
     K, M, N = ctx.sensing_vars.shape[0], prior.feature_dim, ctx.num_subcarriers
     T = len(trial_indices)
@@ -375,12 +400,14 @@ def _draw_trials(ctx: TrialContext, trial_indices):
     gains = np.empty((T, K, N))
     w = np.empty((T, M))
     sigma_r = np.sqrt(0.5)  # unit-scale Rayleigh magnitudes, E[gain^2] = 1
+    cdf = prior.mixing.cumsum()
+    cdf /= cdf[-1]
     for i, t in enumerate(trial_indices):
-        ss = np.random.SeedSequence(ctx.seed,
-                                    spawn_key=(_DOM_TRIAL, ctx.value_index, int(t)))
-        feat_ss, sense_ss, chan_ss, comm_ss = ss.spawn(4)
+        feat_ss, sense_ss, chan_ss, comm_ss = (
+            np.random.SeedSequence(ctx.seed, spawn_key=(_DOM_TRIAL, ctx.value_index, int(t), j))
+            for j in range(4))
         rng = np.random.default_rng(feat_ss)
-        labels[i] = rng.choice(prior.num_classes, p=prior.mixing) + 1
+        labels[i] = cdf.searchsorted(rng.random(), side="right") + 1
         X[i] = prior.means[labels[i] - 1] + rng.standard_normal(M) * np.sqrt(prior.variances)
         rng = np.random.default_rng(sense_ss)
         X_tilde[i] = X[i] + rng.standard_normal((K, M)) * np.sqrt(ctx.sensing_vars)[:, None]
@@ -611,7 +638,7 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
         if variable != "comm_snr":
             raise ValidationError(f"sweep_values must be given for a {variable} sweep")
         values = config.comm_snr_db
-    check = check_count if variable == "K" else check_real
+    check = check_count if variable == "K" else check_db
     values = [check(value, "sweep_values") for value in check_list(values, "sweep_values")]
     workers = _resolve_workers(config)
     ctxs = [build_context(config, variable, value, v_idx)
@@ -716,6 +743,8 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
     check_count(num_devices, "num_devices")
     check_count(trials, "trials")
     check_count(seed, "seed", 0)
+    snr_grid_db = [check_db(v, "sensing_snr_grid_db")
+                   for v in check_list(snr_grid_db, "sensing_snr_grid_db")]
     records = []
     mean_var = float(np.mean(prior.variances))
     for v_idx, snr_db in enumerate(snr_grid_db):

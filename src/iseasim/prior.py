@@ -6,6 +6,8 @@ class-conditional Gaussians sharing one diagonal covariance.  Class labels
 are 1-based throughout (1..L), matching the confusion-count CSV.  One
 class-score kernel serves the responsibilities and both classifiers; one
 class-pair kernel serves min_md and the discriminative prior, an array.
+The class-score kernel runs class-major, with the row axis innermost, and
+keeps the bits of the row-major sums (`_pairwise_sum`).
 """
 
 from __future__ import annotations
@@ -107,35 +109,74 @@ def _rows(prior, X, what, observed=None):
     return X
 
 
+def _pairwise_sum(a):
+    """Sum over the leading axis of `a`, bit for bit as np.sum adds the
+    same terms along the innermost axis of a C-ordered array.
+
+    np.sum adds along any other axis in index order, as it does here below
+    8 terms.  Along the innermost axis (the last one longer than 1) it adds
+    8 or more terms pairwise: 8 interleaved partial sums over blocks of at
+    most 128 terms, halving longer runs at a multiple of 8.  The
+    class-major kernels sum along a leading axis what the row-major layout
+    summed along its innermost one, so they call this to keep its bits.
+    (numpy adds the sum to a zero-initialized output, which only turns a
+    -0.0 sum into 0.0; the nonnegative terms summed here cannot give -0.0.)
+    """
+    n = len(a)
+    if n < 8:
+        return np.sum(a, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    part = a[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        part += a[i:i + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) \
+        + ((part[4] + part[5]) + (part[6] + part[7]))
+    for i in range(n - n % 8, n):
+        total += a[i]
+    return total
+
+
 def _log_scores(prior, X, var, observed=None):
-    """(n, L) class scores log pi_l - 0.5 sum_m (x_m - mu_lm)^2 / var_m of
-    checked rows X, the sum running over the observed dimensions only when
-    a mask is given.  A zero mixing coefficient scores -inf."""
-    diff = X[:, None, :] - prior.means[None, :, :]
+    """(L, n) class scores log pi_l - 0.5 sum_m (x_m - mu_lm)^2 / var_m of
+    checked rows X (n, M), the sum running over the observed dimensions
+    only when a mask is given.  A zero mixing coefficient scores -inf.
+
+    The work runs class-major, on (L, M, n) arrays with the row axis
+    innermost, so every ufunc's inner loop runs over all n rows rather
+    than over the M features.  The sum over M keeps the bits of the
+    row-major sum along its innermost axis (`_pairwise_sum`)."""
+    diff = X.T.copy()[None, :, :] - prior.means[:, :, None]
     if observed is not None:
         # where, not a product: 0 * inf in an unobserved dimension is nan
-        diff = np.where(observed[:, None, :], diff, 0.0)
-    quad = np.sum(diff * diff / var, axis=2)
+        diff = np.where(observed.T.copy()[None, :, :], diff, 0.0)
+    # In place: numpy checks a large temporary operand for reuse with a
+    # stack walk that costs more than the operation.
+    terms = np.multiply(diff, diff, out=diff)
+    terms /= var[:, None]
+    quad = _pairwise_sum(terms.swapaxes(0, 1))
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior.mixing)
-    return log_prior[None, :] - 0.5 * quad
+    return log_prior[:, None] - 0.5 * quad
 
 
 def responsibilities_batch(prior, X, sensing_var):
     """Posterior class probabilities (n, L) for rows of X, each the true
     feature plus isotropic Gaussian noise of variance `sensing_var`;
-    normalized by log-sum-exp so extreme inputs cannot underflow."""
+    normalized by log-sum-exp so extreme inputs cannot underflow.  The
+    result is the transposed view of a class-major (L, n) array."""
     if sensing_var < 0:
         raise ValidationError(f"sensing_var must be >= 0, got {sensing_var}")
     X = _rows(prior, X, "observation")
     total_var = prior.variances + sensing_var
     logits = _log_scores(prior, X, total_var) - 0.5 * np.sum(LOG_2PI + np.log(total_var))
-    peak = logits.max(axis=1, keepdims=True)
-    lse = peak + np.log(np.sum(np.exp(logits - peak), axis=1, keepdims=True))
+    peak = logits.max(axis=0)
+    lse = peak + np.log(_pairwise_sum(np.exp(logits - peak)))
     out = np.exp(logits - lse)
-    # Exact renormalization: the rows already sum to 1 up to rounding.
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    # Exact renormalization: the columns already sum to 1 up to rounding.
+    out /= _pairwise_sum(out)
+    return out.T
 
 
 def pairwise_md(prior: GaussianMixturePrior, l: int, l2: int) -> float:
@@ -185,7 +226,7 @@ def map_classify_batch(prior, X):
     """Posterior-mode class indices (1-based) for rows of X."""
     X = _rows(prior, X, "input")
     # np.argmax returns the first maximizer, i.e. the smallest class index.
-    return np.argmax(_log_scores(prior, X, prior.variances), axis=1) + 1
+    return np.argmax(_log_scores(prior, X, prior.variances), axis=0) + 1
 
 
 def map_classify_masked(prior, X, observed):
@@ -197,4 +238,4 @@ def map_classify_masked(prior, X, observed):
     """
     observed = np.atleast_2d(np.asarray(observed, dtype=bool))
     X = _rows(prior, X, "input", observed)
-    return np.argmax(_log_scores(prior, X, prior.variances, observed), axis=1) + 1
+    return np.argmax(_log_scores(prior, X, prior.variances, observed), axis=0) + 1

@@ -61,6 +61,21 @@ def check_real(value, name, least=-math.inf, strict=False):
     return float(value)
 
 
+def check_db(value, name):
+    """value as a float if it is a finite real number of decibels whose
+    linear value 10^(value/10) and its reciprocal are finite and > 0."""
+    value = check_real(value, name)
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf or not 1.0 / linear < math.inf:
+        raise ValidationError(
+            f"{name} must be a dB value whose linear value 10^(dB/10) and its "
+            f"reciprocal are finite and > 0, got {value!r}")
+    return value
+
+
 def check_list(values, name):
     """values if it is a nonempty list, tuple or array."""
     if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:

@@ -90,6 +90,26 @@ class TestAccuracySweep:
                      "--output", str(tmp_path / "o.csv")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, text", [
+        ({"comm_snr_db": [4000]}, "comm_snr_db"),
+        ({"comm_snr_db": [0.0, -4000]}, "comm_snr_db"),
+        ({"sensing_snr_db": 4000}, "sensing_snr_db"),
+        ({"sensing_snr_db": -4000}, "sensing_snr_db"),
+        ({"comm_snr_db": [10.0], "sweep_variable": "sensing_snr", "sweep_values": [0, 4000]},
+         "sweep_values"),
+        ({"sweep_values": [0.0, -4000]}, "sweep_values"),
+        ({"estimator": "ml", "sensing_vars": [1e308, 1, 1]}, "calibration of device 0"),
+    ])
+    def test_unusable_snr_or_calibration_is_validation_error(self, tmp_path, capsys,
+                                                             overrides, text):
+        # each used to crash: an OverflowError traceback (exit 1) for a dB
+        # value of 4000, or an error from deep inside an estimator or solver
+        cfg = accuracy_config(tmp_path, **overrides)
+        out = tmp_path / "o.csv"
+        assert main(["accuracy-sweep", "--config", cfg, "--output", str(out)]) == 2
+        assert text in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_solver_opts_are_validation_error(self, tmp_path, capsys):
         cfg = accuracy_config(tmp_path, solver_opts={"max_iters": 150})
         assert main(["accuracy-sweep", "--config", cfg,
@@ -157,6 +177,13 @@ class TestEstimatorSweep:
         assert main(["estimator-sweep", "--config", cfg,
                      "--output", str(tmp_path / "e.csv")]) == 2
         assert "min_md_target" in capsys.readouterr().err
+
+    def test_overflowing_snr_grid_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "est.json",
+                           {"trials": 20, "sensing_snr_grid_db": [0.0, 4000]})
+        assert main(["estimator-sweep", "--config", cfg,
+                     "--output", str(tmp_path / "e.csv")]) == 2
+        assert "sensing_snr_grid_db" in capsys.readouterr().err
 
 
 class TestEntropyReport:

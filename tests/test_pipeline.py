@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment runner."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from iseasim.pipeline import (
     sweep,
     target_sensing_vars,
 )
-from iseasim.prior import map_classify_batch, min_md
+from iseasim.estimators import estimate_batch, observe_batch
+from iseasim.prior import GaussianMixturePrior, map_classify_batch, min_md, sample_arrays
 from iseasim.validation import NonConvergenceError, ValidationError
+from test_prior import _rwb_reference
 
 
 def tiny_config(**kwargs):
@@ -62,6 +65,8 @@ class TestConfig:
         ("noise_var", 0.0), ("noise_var", float("nan")), ("noise_var", "0.1"),
         ("comm_snr_db", (10.0, float("nan"))), ("comm_snr_db", 10.0),
         ("sensing_snr_db", float("nan")), ("sensing_snr_db", float("-inf")),
+        ("comm_snr_db", (10.0, 4000.0)), ("comm_snr_db", (-4000.0,)),
+        ("sensing_snr_db", 4000.0), ("sensing_snr_db", -4000.0),
         ("min_md_target", float("nan")), ("min_md_target", 0.0), ("min_md_target", -1.0),
         ("sensing_vars", (float("nan"), 0.1, 0.1)), ("sensing_vars", (0.1, float("inf"), 0.1)),
         ("solver_opts", {"kkt_tol": float("nan")}), ("solver_opts", {"kkt_tol": float("inf")}),
@@ -123,7 +128,57 @@ class TestTargetSensingVars:
         np.testing.assert_allclose(sv, sv[0])
 
 
+def _calibrate_reference(prior, sensing_vars, estimator, n_samples, seed):
+    """calibrate as one unblocked pass, with the row-major rwb kernel."""
+    sensing_vars = np.asarray(sensing_vars, dtype=np.float64)
+    K, M = sensing_vars.shape[0], prior.feature_dim
+    children = np.random.SeedSequence(seed).spawn(K + 1)
+    labels, X = sample_arrays(prior, n_samples, children[0])
+    sigma_hat = np.empty((K, M))
+    nu2 = np.empty((K, M))
+    for k in range(K):
+        X_tilde = observe_batch(X, sensing_vars[k], children[k + 1])
+        if estimator == "rwb":
+            X_hat, pv = _rwb_reference(prior, X_tilde, sensing_vars[k])
+        else:
+            X_hat, pv = estimate_batch(estimator, prior, X_tilde, sensing_vars[k],
+                                       labels=labels)
+        sigma_hat[k] = np.maximum(pv.mean(axis=0), pipeline._EST_VAR_FLOOR)
+        nu2[k] = np.maximum((X_hat * X_hat).mean(axis=0), pipeline._EST_VAR_FLOOR)
+    return sigma_hat, nu2
+
+
 class TestCalibrate:
+    @pytest.mark.parametrize("estimator", ["ml", "mmse", "rwb"])
+    @pytest.mark.parametrize("num_classes, feature_dim", [(5, 4), (9, 1), (9, 9)])
+    @pytest.mark.parametrize("n_samples", [1, 2047, 2048, 2049, 10_000])
+    def test_blocks_match_one_unblocked_pass(self, estimator, num_classes, feature_dim,
+                                             n_samples):
+        prior = default_prior(num_classes, feature_dim)
+        sv = [0.05, 0.3, 1.5]
+        cal = calibrate(prior, sv, estimator, n_samples, seed=4)
+        sigma_hat, nu2 = _calibrate_reference(prior, sv, estimator, n_samples, seed=4)
+        assert cal.sigma_hat.tobytes() == sigma_hat.tobytes()
+        assert cal.nu2.tobytes() == nu2.tobytes()
+
+    def test_working_arrays_do_not_grow_with_the_samples(self):
+        # Past the per-sample arrays that the ml estimator keeps too, rwb's
+        # class-major working arrays may add no more than the whole peak of
+        # a one-block calibration.
+        prior = default_prior()
+        block = pipeline.CHUNK_TRIALS
+
+        def peak(estimator, n_samples):
+            tracemalloc.start()
+            try:
+                calibrate(prior, [0.05, 0.3, 1.5], estimator, n_samples, seed=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("rwb", 100)  # first-call allocations out of the way
+        assert peak("rwb", 8 * block) <= peak("ml", 8 * block) + peak("rwb", block)
+
     def test_ml_statistics_match_analytics(self):
         prior = default_prior()
         sv = np.array([0.25, 0.5])
@@ -159,6 +214,54 @@ class TestRunTrial:
         single = run_trial(cfg, 5)
         assert single == (int(out["labels"][0]), int(out["preds"][0]),
                           float(out["mse"][0]), float(out["md"][0]))
+
+
+def _draw_trials_reference(ctx, trial_indices):
+    """_draw_trials with a spawned parent stream per trial and
+    Generator.choice for the label."""
+    prior = ctx.prior
+    K, M, N = ctx.sensing_vars.shape[0], prior.feature_dim, ctx.num_subcarriers
+    T = len(trial_indices)
+    labels = np.empty(T, dtype=np.int64)
+    X = np.empty((T, M))
+    X_tilde = np.empty((T, K, M))
+    gains = np.empty((T, K, N))
+    w = np.empty((T, M))
+    sigma_r = np.sqrt(0.5)
+    for i, t in enumerate(trial_indices):
+        ss = np.random.SeedSequence(ctx.seed,
+                                    spawn_key=(pipeline._DOM_TRIAL, ctx.value_index, int(t)))
+        feat_ss, sense_ss, chan_ss, comm_ss = ss.spawn(4)
+        rng = np.random.default_rng(feat_ss)
+        labels[i] = rng.choice(prior.num_classes, p=prior.mixing) + 1
+        X[i] = prior.means[labels[i] - 1] + rng.standard_normal(M) * np.sqrt(prior.variances)
+        rng = np.random.default_rng(sense_ss)
+        X_tilde[i] = X[i] + rng.standard_normal((K, M)) * np.sqrt(ctx.sensing_vars)[:, None]
+        rng = np.random.default_rng(chan_ss)
+        if ctx.scheme == "tdm":
+            gains[i] = np.tile(rng.rayleigh(scale=sigma_r, size=(K, 1)), (1, N))
+        else:
+            gains[i] = rng.rayleigh(scale=sigma_r, size=(K, N))
+        rng = np.random.default_rng(comm_ss)
+        w[i] = rng.standard_normal(M) * np.sqrt(ctx.noise_var)
+    return labels, X, X_tilde, gains, w
+
+
+class TestDrawTrials:
+    @pytest.mark.parametrize("mixing", [None, [0.5, 0.0, 0.2, 0.3, 0.0]])
+    @pytest.mark.parametrize("scheme, solver", [("fdm", "fdm_md"), ("tdm", "tdm_md")])
+    def test_matches_spawned_streams_and_choice(self, scheme, solver, mixing):
+        ctx = pipeline.build_context(
+            tiny_config(scheme=scheme, solver=solver, calibration_samples=100, seed=7),
+            "comm_snr", 10.0, 2)
+        if mixing is not None:
+            ctx = replace(ctx, prior=GaussianMixturePrior(
+                means=ctx.prior.means, variances=ctx.prior.variances, mixing=mixing))
+        got = pipeline._draw_trials(ctx, range(500))
+        want = _draw_trials_reference(ctx, range(500))
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
 
 
 class TestLowSnrFloor:
@@ -253,11 +356,28 @@ class TestSweep:
     @pytest.mark.parametrize("variable, value", [
         ("K", 2.5), ("K", "x"), ("K", float("nan")), ("K", 0),
         ("comm_snr", "x"), ("comm_snr", float("nan")), ("sensing_snr", float("inf")),
+        ("comm_snr", 4000.0), ("comm_snr", -4000.0), ("sensing_snr", -4000.0),
     ])
     def test_bad_values_name_sweep_values(self, variable, value):
         # K = 2.5 used to run K = 2 and report 2.5
         with pytest.raises(ValidationError, match="sweep_values"):
             sweep(tiny_config(trials=2), variable, [value])
+
+    def test_non_finite_calibration_fails_before_any_trial(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(pipeline, "_draw_trials",
+                            lambda ctx, trials: drawn.append(ctx) or pytest.fail("drew"))
+        cfg = tiny_config(estimator="ml", sensing_vars=(1.0, 1e308, 1.0),
+                          calibration_samples=200)
+        with pytest.raises(ValidationError, match=r"device 1 at sweep point 0 "
+                                                  r"\(comm_snr=0.0, sensing variance 1e\+308"):
+            sweep(cfg, "comm_snr", [0.0, 10.0])
+        # -3070 dB is a valid SNR, but its sensing variances of ~1e307
+        # overflow the calibration means.
+        with pytest.raises(ValidationError, match=r"at sweep point 1 \(sensing_snr=-3070.0"):
+            sweep(tiny_config(estimator="ml", calibration_samples=200), "sensing_snr",
+                  [10.0, -3070.0])
+        assert drawn == []
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from iseasim.estimators import mmse_posterior_var, rwb_estimate_batch
 from iseasim.prior import (
     LOG_2PI,
     GaussianMixturePrior,
@@ -18,6 +19,7 @@ from iseasim.prior import (
     min_md,
     pairwise_md,
     responsibilities_batch,
+    _pairwise_sum,
     sample_arrays,
 )
 
@@ -317,6 +319,20 @@ def _responsibilities_reference(prior, X, sensing_var):
     return out
 
 
+def _rwb_reference(prior, X_tilde, sensing_var):
+    X_tilde = np.atleast_2d(np.asarray(X_tilde, dtype=np.float64))
+    theta = _responsibilities_reference(prior, X_tilde, sensing_var)
+    v = prior.variances
+    s = sensing_var
+    shrink = v / (v + s)
+    bar_mu = shrink * X_tilde[:, None, :] + (1.0 - shrink) * prior.means[None, :, :]
+    x_hat = np.sum(theta[:, :, None] * bar_mu, axis=1)
+    bar_var = mmse_posterior_var(prior, s)
+    spread = bar_mu - x_hat[:, None, :]
+    post_var = bar_var + np.sum(theta[:, :, None] * spread * spread, axis=1)
+    return x_hat, post_var
+
+
 def _map_classify_reference(prior, X):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     diff = X[:, None, :] - prior.means[None, :, :]
@@ -396,6 +412,9 @@ class TestKernelsMatchReferences:
         prior, X, observed, sensing_var = case
         _assert_same_bits(responsibilities_batch(prior, X, sensing_var),
                           _responsibilities_reference(prior, X, sensing_var))
+        for got, want in zip(rwb_estimate_batch(prior, X, sensing_var),
+                             _rwb_reference(prior, X, sensing_var)):
+            _assert_same_bits(got, want)
         _assert_same_bits(map_classify_batch(prior, X), _map_classify_reference(prior, X))
         _assert_same_bits(map_classify_masked(prior, X, observed),
                           _map_classify_masked_reference(prior, X, observed))
@@ -405,3 +424,9 @@ class TestKernelsMatchReferences:
         assert pair == want_pair
         _assert_same_bits(value, want_value)
         _assert_same_bits(discriminative_prior(prior), _delta_reference(prior))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300])
+    def test_pairwise_sum_matches_numpys_innermost_sum(self, n):
+        rng = np.random.default_rng(n)
+        terms = rng.random((3, n)) * 10.0 ** rng.integers(-8, 9, (3, n))
+        _assert_same_bits(_pairwise_sum(terms.T.copy()), np.sum(terms, axis=1))
