@@ -70,19 +70,22 @@ EXCLUSION_LIMIT = 0.01
 # A sweep runs its (point, trial) pairs as one stream of chunks of about
 # this many trials, each solved by one `solve_batch` call per (K, M)
 # shape.  The FDM polish pays its per-sweep numpy overhead once per chunk,
-# so larger chunks cost less per trial (on a 2-vCPU Xeon, numpy 2.4.6: at
-# K = 3, 690 us a trial in chunks of 128, 393 at 2048, 345 at 4608; at
-# K = 8, about 810 us from 1024 up), while the chunk's working arrays grow
-# by about 5 KiB a trial at K = 8 (peak RSS 47 MiB at 1024, 49 at 2048,
-# 61 at 4096).  `calibrate` runs the estimator in blocks of this many
-# samples too (at L = 5, M = 4, 2.4 ms per 10,000 rwb rows in blocks of
-# 2048 or 4096, 2.8 at 1024, 5.2 in one block).
+# so larger chunks cost less per trial (the reference sweep's trial stream
+# on a 2-vCPU Xeon, numpy 2.4.6: at K = 3, about 590 us a trial in chunks
+# of 128, 245 at 2048, 210 at 4608; at K = 8, 370-460 us from 1024 up,
+# with no trend beyond the run-to-run spread), while the chunk's working
+# arrays grow by about 5 KiB a trial at K = 8 (peak RSS 47 MiB at 1024, 49
+# at 2048, 61 at 4096).  `calibrate` runs the estimator in blocks of this
+# many samples too (at L = 5, M = 4, 2.4 ms per 10,000 rwb rows in blocks
+# of 2048 or 4096, 2.8 at 1024, 5.2 in one block).
 CHUNK_TRIALS = 2048
 
-# Default per-trial convergence gate (solver_opts["kkt_tol"]): the refined
-# designs reach their objective to ~1e-8 well before the stationarity
-# residual of flat power valleys dies out, so the gate is looser than the
-# 1e-6 solver-API default.
+# Default per-trial convergence gate (solver_opts["kkt_tol"]): the
+# stationarity residual of flat power valleys dies out slowly, so the gate
+# is looser than the 1e-6 solver-API default.  The objectives still move
+# where the solver stops: 2,000 more plain sweeps raise fdm_md's MD by up
+# to 6.0e-6 relative on the reference sweep, and lower fdm_mse's MSE by up
+# to 1.1e-7.
 KKT_GATE = 1e-4
 
 
@@ -311,14 +314,19 @@ def build_context(config: ExperimentConfig, variable: str, value,
                   value_index: int) -> TrialContext:
     """Prior, sensing variances, power budgets and calibration of sweep
     point `value_index`, where `variable` takes `value`.  Sweeps other than
-    comm_snr run at the config's one comm_snr_db value."""
+    comm_snr run at the config's one comm_snr_db value, and draw each
+    point's sensing variances, so they reject explicit sensing_vars."""
     cfg = config
+    if variable in ("sensing_snr", "K") and cfg.sensing_vars is not None:
+        raise ValidationError(
+            f"sensing_vars cannot be given for a {variable} sweep, which draws "
+            f"each point's sensing variances; got {list(cfg.sensing_vars)}")
     if variable == "comm_snr":
         pass
     elif variable == "sensing_snr":
-        cfg = replace(cfg, sensing_snr_db=value, sensing_vars=None)
+        cfg = replace(cfg, sensing_snr_db=value)
     elif variable == "K":
-        cfg = replace(cfg, num_devices=value, sensing_vars=None)
+        cfg = replace(cfg, num_devices=value)
     else:
         raise ValidationError(
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"

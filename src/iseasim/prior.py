@@ -7,7 +7,7 @@ are 1-based throughout (1..L), matching the confusion-count CSV.  One
 class-score kernel serves the responsibilities and both classifiers; one
 class-pair kernel serves min_md and the discriminative prior, an array.
 The class-score kernel runs class-major, with the row axis innermost, and
-keeps the bits of the row-major sums (`_pairwise_sum`).
+keeps the bits of the row-major sums (`sums.pairwise_sum`).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sums import pairwise_sum
 from .validation import ValidationError, as_matrix, as_vector, check_finite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -109,35 +110,6 @@ def _rows(prior, X, what, observed=None):
     return X
 
 
-def _pairwise_sum(a):
-    """Sum over the leading axis of `a`, bit for bit as np.sum adds the
-    same terms along the innermost axis of a C-ordered array.
-
-    np.sum adds along any other axis in index order, as it does here below
-    8 terms.  Along the innermost axis (the last one longer than 1) it adds
-    8 or more terms pairwise: 8 interleaved partial sums over blocks of at
-    most 128 terms, halving longer runs at a multiple of 8.  The
-    class-major kernels sum along a leading axis what the row-major layout
-    summed along its innermost one, so they call this to keep its bits.
-    (numpy adds the sum to a zero-initialized output, which only turns a
-    -0.0 sum into 0.0; the nonnegative terms summed here cannot give -0.0.)
-    """
-    n = len(a)
-    if n < 8:
-        return np.sum(a, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    part = a[:8].copy()
-    for i in range(8, n - n % 8, 8):
-        part += a[i:i + 8]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) \
-        + ((part[4] + part[5]) + (part[6] + part[7]))
-    for i in range(n - n % 8, n):
-        total += a[i]
-    return total
-
-
 def _log_scores(prior, X, var, observed=None):
     """(L, n) class scores log pi_l - 0.5 sum_m (x_m - mu_lm)^2 / var_m of
     checked rows X (n, M), the sum running over the observed dimensions
@@ -146,7 +118,7 @@ def _log_scores(prior, X, var, observed=None):
     The work runs class-major, on (L, M, n) arrays with the row axis
     innermost, so every ufunc's inner loop runs over all n rows rather
     than over the M features.  The sum over M keeps the bits of the
-    row-major sum along its innermost axis (`_pairwise_sum`)."""
+    row-major sum along its innermost axis (`sums.pairwise_sum`)."""
     diff = X.T.copy()[None, :, :] - prior.means[:, :, None]
     if observed is not None:
         # where, not a product: 0 * inf in an unobserved dimension is nan
@@ -155,7 +127,7 @@ def _log_scores(prior, X, var, observed=None):
     # stack walk that costs more than the operation.
     terms = np.multiply(diff, diff, out=diff)
     terms /= var[:, None]
-    quad = _pairwise_sum(terms.swapaxes(0, 1))
+    quad = pairwise_sum(terms.swapaxes(0, 1))
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior.mixing)
     return log_prior[:, None] - 0.5 * quad
@@ -172,10 +144,10 @@ def responsibilities_batch(prior, X, sensing_var):
     total_var = prior.variances + sensing_var
     logits = _log_scores(prior, X, total_var) - 0.5 * np.sum(LOG_2PI + np.log(total_var))
     peak = logits.max(axis=0)
-    lse = peak + np.log(_pairwise_sum(np.exp(logits - peak)))
+    lse = peak + np.log(pairwise_sum(np.exp(logits - peak)))
     out = np.exp(logits - lse)
     # Exact renormalization: the columns already sum to 1 up to rounding.
-    out /= _pairwise_sum(out)
+    out /= pairwise_sum(out)
     return out.T
 
 

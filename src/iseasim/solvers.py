@@ -28,6 +28,16 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
 every SolveReport; the four functions above are calls to it.  The
 receive rule, MSE and MD formulas are the kernels of `channel`.
 
+The dual solver indexes its arrays (B, K, N) but stores them with the
+batch axis innermost in memory when N > 1: `solve_batch` builds each
+input once as a C-ordered (K, N, B) array seen through np.moveaxis, so
+every ufunc and every sum runs over the whole batch in its inner loop
+instead of over N = 4 subcarriers.  The results keep the bits of the
+C-ordered layout: sums over devices run in index order in both layouts,
+and sums over subcarriers add 8 or more terms pairwise, as numpy does
+along an innermost axis (`sums.pairwise_sum`).  The layout stays
+private; every function returns C-contiguous arrays.
+
 All quantities are real magnitudes.  `moments` fields hold the second
 moments nu^2 of the transmitted estimates, `est_vars` the per-device
 estimate variances sigma_hat^2.
@@ -47,6 +57,7 @@ from .channel import (
     mse_min_rx,
     receive_rule,
 )
+from .sums import pairwise_sum
 from .validation import ValidationError, as_matrix, as_vector, check_count
 
 # Newton steps of the per-device multiplier root (`_DualCore._lambda_for`).
@@ -76,6 +87,7 @@ SOLVER_NAMES = ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal",
                 "channel_inversion")
 # The closed forms that design one TDM slot (N = 1).
 TDM_SOLVERS = ("tdm_mse", "tdm_md")
+FDM_SOLVERS = ("fdm_mse", "fdm_md")
 
 
 def _check_data(noise_name, noise_positive, gains, budgets, moments, est_vars,
@@ -360,11 +372,43 @@ def equal_power(budgets, moments):
     return np.sqrt(budgets[..., None] / (moments.shape[-1] * moments))
 
 
+def _dual_rows(x, keep, N):
+    """Rows `keep` (indices) of x (B, ...), copied into the dual solver's
+    memory layout for N subcarriers: the batch axis innermost (a C-array
+    (..., B) seen as (B, ...) through np.moveaxis) at N > 1, C order at
+    N = 1 (see `_DualCore`)."""
+    if N == 1:
+        return x[keep]
+    return np.moveaxis(np.moveaxis(x, 0, -1).take(keep, axis=-1), -1, 0)
+
+
+def _sum_subcarriers(x):
+    """Sum over the last axis (N) of x, in any layout, with the bits of
+    np.sum along the innermost axis of a C-ordered x: pairwise from 8
+    terms on (`pairwise_sum`), in index order below.  Below 8 terms the
+    sum runs in x's own layout, which costs half as much as summing the
+    moved view."""
+    if x.shape[-1] < 8:
+        return x.sum(axis=-1)
+    return pairwise_sum(np.moveaxis(x, -1, 0))
+
+
 class _DualCore:
     """Batched dual-decomposition engine shared by the MSE and MD
     objectives.  Arrays: gains/moments/est_vars (B, K, N), budgets (B, K),
     noise (B,), delta (B, N).  Every operation is elementwise across the
-    batch, so each instance's result depends only on its own data."""
+    batch, so each instance's result depends only on its own data.
+
+    The formulas index (B, K, N); the memory order is the caller's.
+    `solve_batch` lays the arrays out with the batch axis innermost at
+    N > 1 (`_dual_rows`), so each ufunc's inner loop runs over the whole
+    batch rather than over N = 4 subcarriers; the core copies no input,
+    and selects rows in that layout.  Values do not depend on the layout:
+    sums over devices run in index order in either layout at N > 1, and
+    sums over subcarriers go through `_sum_subcarriers`.  At N = 1 numpy
+    adds 8 or more devices pairwise in the C layout, which the channel
+    kernels' device sums in the batch-innermost one would not, so there
+    the arrays stay C-ordered."""
 
     def __init__(self, gains, budgets, moments, est_vars, noise, delta):
         self.g = gains
@@ -378,7 +422,7 @@ class _DualCore:
     # -- per-device multipliers ------------------------------------------
 
     def power_used(self, b):
-        return np.sum(self.mom * b * b, axis=2)
+        return _sum_subcarriers(self.mom * b * b)
 
     def _b_shape(self, c1, c2, lam):
         """Per-device constrained optimum b_kn = c1 / (c2 + lam nu^2),
@@ -403,7 +447,7 @@ class _DualCore:
         (c1 = c2 = 0) add nothing.
         """
         mom, budgets = self.mom, self.budgets
-        active = self.power_used(self._b_shape(c1, c2, np.zeros((self.B, self.K)))) > budgets
+        active = self.power_used(self._b_shape(c1, c2, np.zeros_like(budgets))) > budgets
         lam = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
                                 axis=2), 0.0)
         for _ in range(NEWTON_STEPS):
@@ -411,11 +455,9 @@ class _DualCore:
             pos = den > 0
             den = np.where(pos, den, 1.0)
             mb2 = mom * np.where(pos, c1 / den, 0.0) ** 2
-            # ndarray.sum: the same reduction as np.sum without its
-            # dispatch, which costs as much as the sum at these sizes
-            used = mb2.sum(axis=2)
+            used = _sum_subcarriers(mb2)
             # slope = -used'(lam) / 2; the step is -g / g'
-            slope = (mb2 * mom / den).sum(axis=2)
+            slope = _sum_subcarriers(mb2 * mom / den)
             step = active & (slope > 0)
             lam = lam + np.where(step, used * (np.sqrt(used / budgets) - 1.0)
                                  / np.where(step, slope, 1.0), 0.0)
@@ -447,8 +489,8 @@ class _DualCore:
 
     def objective(self, kind, b):
         if kind == "mse":
-            return np.sum(mse_min_rx(self.g, b, self.sv, self.noise), axis=1)
-        return np.sum(md_received(self.g, b, self.sv, self.noise, self.delta), axis=1)
+            return _sum_subcarriers(mse_min_rx(self.g, b, self.sv, self.noise))
+        return _sum_subcarriers(md_received(self.g, b, self.sv, self.noise, self.delta))
 
     def _step(self, kind, aux):
         c1, c2 = self._coeffs(kind, aux)
@@ -458,8 +500,8 @@ class _DualCore:
 
     def _rows(self, keep):
         """The core of the instances `keep` (indices) of this batch."""
-        return _DualCore(self.g[keep], self.budgets[keep], self.mom[keep], self.sv[keep],
-                         self.noise[keep, 0], self.delta[keep])
+        return _DualCore(*(_dual_rows(x, keep, self.N) for x in (
+            self.g, self.budgets, self.mom, self.sv, self.noise[:, 0], self.delta)))
 
     def polish(self, kind, b):
         """Alternate the closed-form auxiliary update (receive scale for
@@ -495,8 +537,8 @@ class _DualCore:
             if sweep % 12 == 0:
                 d1 = aux - aux_prev
                 d2 = aux_next - aux
-                num = np.sum(d2 * d1, axis=1)
-                den = np.sum(d1 * d1, axis=1)
+                num = _sum_subcarriers(d2 * d1)
+                den = _sum_subcarriers(d1 * d1)
                 rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
                               0.0, 0.999)
                 aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
@@ -514,7 +556,8 @@ class _DualCore:
                 final[rows[done]] = aux[done]
                 sweeps[rows[done]] = sweep
                 keep = np.flatnonzero(~done)
-                rows, aux, aux_prev = rows[keep], aux[keep], aux_prev[keep]
+                rows = rows[keep]
+                aux, aux_prev = _dual_rows(aux, keep, self.N), _dual_rows(aux_prev, keep, self.N)
                 core = core._rows(keep)
                 upd = core.rx_update if kind == "mse" else core.z_update
         final[rows] = aux
@@ -548,10 +591,11 @@ class _DualCore:
 
 
 def _fdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
-    """(lam, aux, tx, rx, kkt, sweeps) of the dual solver on a batch; the
-    MD design decodes with the MSE-optimal receive rule.  Both designs need
-    noise > 0, and the MD design delta > 0 on some subcarrier of every
-    instance.  The data have passed `_check_data`."""
+    """(lam, aux, tx, rx, kkt, sweeps) of the dual solver on a batch, as
+    C-contiguous arrays; the MD design decodes with the MSE-optimal
+    receive rule.  Both designs need noise > 0, and the MD design delta > 0
+    on some subcarrier of every instance.  The data have passed
+    `_check_data`, in the layout `_DualCore` keeps (any layout at B=1)."""
     if np.any(noise == 0):
         raise ValidationError("noise must be finite and > 0, got 0.0")
     if kind == "md" and not np.all(np.any(delta > 0, axis=1)):
@@ -559,7 +603,7 @@ def _fdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
     lam, aux, tx, kkt, sweeps = _DualCore(gains, budgets, moments, est_vars,
                                           noise, delta).run(kind)
     rx = aux if kind == "mse" else receive_rule(gains, tx, est_vars, noise[:, None])
-    return lam, aux, tx, rx, kkt, sweeps
+    return tuple(np.ascontiguousarray(x) for x in (lam, aux, tx, rx, kkt, sweeps))
 
 
 def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
@@ -580,10 +624,15 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
     if gains.ndim != 3:
         raise ValidationError(f"gains must be (B, K, N), got shape {gains.shape}")
     B, K, N = gains.shape
+    # The dual solver's inputs are built once, in its layout.
+    dual = name in FDM_SOLVERS
 
     def full(x, shape):
-        return np.broadcast_to(np.asarray(x, dtype=np.float64), shape).copy()
+        x = np.broadcast_to(np.asarray(x, dtype=np.float64), shape)
+        return _dual_rows(x, np.arange(B), N) if dual else x.copy()
 
+    if dual:
+        gains = full(gains, gains.shape)
     budgets = full(budgets, (B, K))
     moments = full(moments, (B, K, N))
     est_vars = full(est_vars, (B, K, N))
@@ -594,7 +643,7 @@ def solve_batch(name, gains, budgets, moments, est_vars, noise, delta):
         tx, rx, kkt, _ = _tdm_batch(name[4:], gains, budgets, moments, est_vars,
                                     noise, delta)
         return tx, rx, kkt
-    if name in ("fdm_mse", "fdm_md"):
+    if name in FDM_SOLVERS:
         _, _, tx, rx, kkt, _ = _fdm_batch(name[4:], gains, budgets, moments, est_vars,
                                           noise, delta)
         return tx, rx, kkt
@@ -966,7 +1015,7 @@ def solve(inst, solver: str) -> SolveReport:
     if solver in TDM_SOLVERS:
         tx, rx, kkt, extras = _tdm_batch(solver[4:], *batch)
         iterations = inst.num_devices
-    elif solver in ("fdm_mse", "fdm_md"):
+    elif solver in FDM_SOLVERS:
         lam, aux, tx, rx, kkt, sweeps = _fdm_batch(solver[4:], *batch)
         iterations = int(sweeps[0])
         extras = {"duals": lam, "rx_power": rx * rx} if solver == "fdm_mse" \

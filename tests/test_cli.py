@@ -123,6 +123,17 @@ class TestAccuracySweep:
                      "--output", str(tmp_path / "o.csv")]) == 2
         assert "K sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variable, values", [("K", [3]), ("sensing_snr", [5.0])])
+    def test_sensing_vars_in_a_drawing_sweep_is_validation_error(self, tmp_path, capsys,
+                                                                 variable, values):
+        cfg = accuracy_config(tmp_path, sweep_variable=variable, sweep_values=values,
+                              comm_snr_db=[10.0], sensing_vars=[0.1, 0.2, 0.3])
+        out = tmp_path / "o.csv"
+        assert main(["accuracy-sweep", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sensing_vars" in err and f"{variable} sweep" in err
+        assert not out.exists()
+
     def test_tdm_with_too_few_subcarriers_is_validation_error(self, tmp_path, capsys):
         cfg = accuracy_config(tmp_path, trials=5, scheme="tdm", solver="tdm_mse",
                               num_subcarriers=2, comm_snr_db=[10.0])

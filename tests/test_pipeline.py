@@ -297,6 +297,19 @@ class TestSweep:
             assert ra.md_mean == rb.md_mean
             np.testing.assert_array_equal(ra.confusion, rb.confusion)
 
+    @pytest.mark.parametrize("variable, values", [("K", [3, 4]), ("sensing_snr", [5.0])])
+    def test_explicit_sensing_vars_in_a_drawing_sweep_fail(self, monkeypatch, variable,
+                                                           values):
+        # K and sensing_snr sweeps draw each point's sensing variances, so
+        # explicit ones would be dropped without a word.
+        monkeypatch.setattr(pipeline, "calibrate", lambda *args: pytest.fail("calibrated"))
+        cfg = tiny_config(sensing_vars=(0.1, 0.2, 0.3))
+        with pytest.raises(ValidationError, match=f"^sensing_vars .* {variable} sweep"):
+            sweep(cfg, variable, values)
+        monkeypatch.undo()
+        assert sweep(tiny_config(trials=2, sensing_vars=(0.1, 0.2, 0.3)), "comm_snr",
+                     [10.0])[0].n_trials == 2
+
     def test_worker_count_does_not_change_results(self):
         cfg1 = tiny_config(trials=50, workers=1)
         cfg3 = tiny_config(trials=50, workers=3)

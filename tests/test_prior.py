@@ -19,9 +19,9 @@ from iseasim.prior import (
     min_md,
     pairwise_md,
     responsibilities_batch,
-    _pairwise_sum,
     sample_arrays,
 )
+from iseasim.sums import pairwise_sum
 
 
 def random_prior(rng, num_classes=5, feature_dim=4):
@@ -429,4 +429,4 @@ class TestKernelsMatchReferences:
     def test_pairwise_sum_matches_numpys_innermost_sum(self, n):
         rng = np.random.default_rng(n)
         terms = rng.random((3, n)) * 10.0 ** rng.integers(-8, 9, (3, n))
-        _assert_same_bits(_pairwise_sum(terms.T.copy()), np.sum(terms, axis=1))
+        _assert_same_bits(pairwise_sum(terms.T.copy()), np.sum(terms, axis=1))

@@ -1,6 +1,7 @@
 """Tests for the transceiver power-allocation solvers."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from iseasim import pipeline, solvers
-from iseasim.channel import md_received, mse_at_rx, mse_min_rx
+from iseasim.channel import md_received, mse_at_rx, mse_min_rx, receive_rule
 from iseasim.solvers import (
     KKT_TOL,
     POLISH_SWEEPS,
@@ -34,8 +35,8 @@ from iseasim.solvers import (
     tdm_md_optimal,
     tdm_mse_optimal,
 )
-from iseasim.solvers import (_bisect_fixed, _DualCore, _fdm_batch, _golden_section,
-                             _grid_starts)
+from iseasim.solvers import (_bisect_fixed, _dual_rows, _DualCore, _fdm_batch,
+                             _golden_section, _grid_starts)
 from iseasim.validation import ValidationError
 
 
@@ -577,16 +578,27 @@ def _multiplier_stacks(draw):
             10.0 ** rng.uniform(-4.0, 6.0, (B, K)))
 
 
+def _solver_layout(*arrays):
+    """The (B, ...) arrays of a batch on N = arrays[0].shape[-1]
+    subcarriers, in the memory layout `solve_batch` gives the dual core."""
+    B, N = arrays[0].shape[0], arrays[0].shape[-1]
+    return tuple(_dual_rows(a, np.arange(B), N) for a in arrays)
+
+
 def _dual_core(moments, budgets):
     B, K, N = moments.shape
-    return _DualCore(np.ones((B, K, N)), budgets, moments, np.ones((B, K, N)),
-                     np.ones(B), np.ones((B, N)))
+    return _DualCore(*_solver_layout(np.ones((B, K, N)), budgets, moments,
+                                     np.ones((B, K, N)), np.ones(B), np.ones((B, N))))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(stack=_multiplier_stacks())
 def test_newton_multiplier_matches_the_bisection_reference(stack):
-    c1, c2, moments, budgets = stack
+    # c1 and c2 in the layout `_step` computes them in from the core's
+    # arrays, so the root runs on the solver's own memory order.
+    c1, c2, moments, budgets = _solver_layout(*stack)
+    B, K, N = c1.shape
+    assert N == 1 or B == 1 or c1.strides[0] == c1.itemsize
     core = _dual_core(moments, budgets)
 
     def used(lam):
@@ -699,6 +711,218 @@ class TestPolishStopRule:
         early = np.flatnonzero(sweeps < POLISH_SWEEPS)
         for x, x1 in zip(out, _fdm_batch(kind, *(a[early] for a in batch))):
             np.testing.assert_array_equal(x[early], x1)
+
+
+class _COrderedCoreReference:
+    """The dual core as it ran before its arrays were laid out batch
+    innermost: C-ordered (B, K, N) arrays, sums over N through np.sum
+    along the innermost axis, rows selected by fancy indexing.  Only
+    comments were removed; `solve_batch` must reproduce its bits."""
+
+    def __init__(self, gains, budgets, moments, est_vars, noise, delta):
+        self.g = gains
+        self.budgets = budgets
+        self.mom = moments
+        self.sv = est_vars
+        self.noise = noise[:, None]
+        self.delta = delta
+        self.B, self.K, self.N = gains.shape
+
+    def power_used(self, b):
+        return np.sum(self.mom * b * b, axis=2)
+
+    def _b_shape(self, c1, c2, lam):
+        den = c2 + lam[:, :, None] * self.mom
+        b = np.where(den > 0, c1 / np.where(den > 0, den, 1.0), 0.0)
+        return np.minimum(b, 1e120)
+
+    def _lambda_for(self, c1, c2):
+        mom, budgets = self.mom, self.budgets
+        active = self.power_used(self._b_shape(c1, c2, np.zeros((self.B, self.K)))) > budgets
+        lam = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
+                                axis=2), 0.0)
+        for _ in range(solvers.NEWTON_STEPS):
+            den = c2 + lam[:, :, None] * mom
+            pos = den > 0
+            den = np.where(pos, den, 1.0)
+            mb2 = mom * np.where(pos, c1 / den, 0.0) ** 2
+            used = mb2.sum(axis=2)
+            slope = (mb2 * mom / den).sum(axis=2)
+            step = active & (slope > 0)
+            lam = lam + np.where(step, used * (np.sqrt(used / budgets) - 1.0)
+                                 / np.where(step, slope, 1.0), 0.0)
+        return np.where(active, lam, 0.0)
+
+    def rx_update(self, b):
+        return receive_rule(self.g, b, self.sv, self.noise)
+
+    def z_update(self, b):
+        hb = self.g * b
+        num = np.sum(hb, axis=1)
+        den = np.sum(hb * hb * self.sv, axis=1) + self.noise
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+    def _coeffs(self, kind, aux):
+        a3 = aux[:, None, :]
+        if kind == "mse":
+            c1 = a3 * self.g * self.sv
+            c2 = a3 * a3 * self.g ** 2 * self.sv
+        else:
+            d3 = self.delta[:, None, :]
+            c1 = d3 * self.g * a3
+            c2 = d3 * self.sv * self.g ** 2 * a3 * a3
+        return c1, c2
+
+    def objective(self, kind, b):
+        if kind == "mse":
+            return np.sum(mse_min_rx(self.g, b, self.sv, self.noise), axis=1)
+        return np.sum(md_received(self.g, b, self.sv, self.noise, self.delta), axis=1)
+
+    def _step(self, kind, aux):
+        c1, c2 = self._coeffs(kind, aux)
+        lam = self._lambda_for(c1, c2)
+        b = self._b_shape(c1, c2, lam)
+        return lam, b
+
+    def _rows(self, keep):
+        return _COrderedCoreReference(self.g[keep], self.budgets[keep], self.mom[keep],
+                                      self.sv[keep], self.noise[keep, 0], self.delta[keep])
+
+    def polish(self, kind, b):
+        better = np.less if kind == "mse" else np.greater
+        core = self
+        upd = core.rx_update if kind == "mse" else core.z_update
+        aux = upd(b)
+        aux_prev = aux
+        final = np.empty_like(aux)
+        sweeps = np.full(self.B, POLISH_SWEEPS)
+        rows = np.arange(self.B)
+        for sweep in range(1, POLISH_SWEEPS + 1):
+            if not rows.size:
+                break
+            _, b = core._step(kind, aux)
+            aux_next = upd(b)
+            if sweep % 12 == 0:
+                d1 = aux - aux_prev
+                d2 = aux_next - aux
+                num = np.sum(d2 * d1, axis=1)
+                den = np.sum(d1 * d1, axis=1)
+                rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
+                              0.0, 0.999)
+                aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
+                _, b_acc = core._step(kind, aux_acc)
+                take = better(core.objective(kind, b_acc),
+                              core.objective(kind, b))
+                aux_next = np.where(take[:, None], upd(b_acc), aux_next)
+            aux_prev = aux
+            aux = aux_next
+            if sweep % 2 or sweep % 12 == 0 or sweep == POLISH_SWEEPS:
+                continue
+            done = (np.max(np.abs(aux - aux_prev), axis=1)
+                    <= solvers.POLISH_TOL * np.max(np.abs(aux), axis=1))
+            if done.any():
+                final[rows[done]] = aux[done]
+                sweeps[rows[done]] = sweep
+                keep = np.flatnonzero(~done)
+                rows, aux, aux_prev = rows[keep], aux[keep], aux_prev[keep]
+                core = core._rows(keep)
+                upd = core.rx_update if kind == "mse" else core.z_update
+        final[rows] = aux
+        lam, b = self._step(kind, final)
+        return lam, final, b, sweeps
+
+    def run(self, kind):
+        lam, aux, b, sweeps = self.polish(kind, solvers.equal_power(self.budgets, self.mom))
+        used = self.power_used(b)
+        over = used > self.budgets
+        scale = np.where(over, np.sqrt(self.budgets / np.maximum(used, solvers.TINY)), 1.0)
+        b = b * scale[:, :, None]
+        used = np.minimum(self.power_used(b), self.budgets)
+        slack_rel = (self.budgets - used) / self.budgets
+        overuse = np.max(np.maximum(-slack_rel, 0.0), axis=1)
+        compl = np.max(lam / (1.0 + lam) * np.abs(slack_rel), axis=1)
+        aux_new = (self.rx_update if kind == "mse" else self.z_update)(b)
+        aux_scale = np.maximum(np.max(np.abs(aux_new), axis=1), solvers.TINY)
+        aux_resid = np.max(np.abs(aux - aux_new), axis=1) / aux_scale
+        kkt = np.maximum(np.maximum(overuse, compl), aux_resid)
+        return lam, aux, b, kkt, sweeps
+
+
+def _c_ordered_reference(kind, gains, budgets, moments, est_vars, noise, delta):
+    """(tx, rx, kkt) of `_COrderedCoreReference` on a C-ordered batch."""
+    _, aux, tx, kkt, _ = _COrderedCoreReference(gains, budgets, moments, est_vars,
+                                                noise, delta).run(kind)
+    rx = aux if kind == "mse" else receive_rule(gains, tx, est_vars, noise[:, None])
+    return tx, rx, kkt
+
+
+# Shapes (K, N) where numpy's innermost-axis sums go pairwise (N >= 8) or
+# where K >= 8, next to the reference shape (3, 4) and an N = 1 shape
+# whose device sums are the C layout's pairwise ones.
+_LAYOUT_SHAPES = [(3, 4), (2, 8), (3, 9), (9, 3), (4, 12), (1, 16), (8, 8), (9, 1)]
+
+
+class TestBatchInnermostLayout:
+    @pytest.mark.parametrize("K, N", _LAYOUT_SHAPES)
+    @pytest.mark.parametrize("kind", ["mse", "md"])
+    def test_rows_match_the_c_ordered_core_and_themselves_alone(self, kind, K, N):
+        rng = np.random.default_rng(100 * K + N)
+        batch = _stack([random_fdm_instance(rng, K, N) for _ in range(24)])
+        tx, rx, kkt = solve_batch(f"fdm_{kind}", *batch)
+        for x in (tx, rx, kkt):
+            assert x.flags.c_contiguous
+        for x, ref in zip((tx, rx, kkt), _c_ordered_reference(kind, *batch)):
+            assert x.tobytes() == ref.tobytes()
+        for i in range(tx.shape[0]):
+            alone = solve_batch(f"fdm_{kind}", *(a[i:i + 1] for a in batch))
+            for x, x1 in zip((tx, rx, kkt), alone):
+                np.testing.assert_array_equal(x[i], x1[0])
+
+    @pytest.mark.parametrize("kind", ["mse", "md"])
+    def test_the_core_keeps_the_inputs_solve_batch_laid_out(self, monkeypatch, kind):
+        received, cores = [], []
+        init = _DualCore.__init__
+
+        def recording_init(core, *arrays):
+            init(core, *arrays)
+            received.append(arrays)
+            cores.append(core)
+
+        monkeypatch.setattr(_DualCore, "__init__", recording_init)
+        batch = _stack([random_fdm_instance(np.random.default_rng(3), 3, 4)
+                        for _ in range(40)])
+        solve_batch(f"fdm_{kind}", *batch)
+        core = cores[0]
+        kept = (core.g, core.budgets, core.mom, core.sv, core.noise, core.delta)
+        for arr, given_arr in zip(kept, received[0]):
+            assert arr.strides[0] == arr.itemsize  # the batch axis is innermost
+            assert np.shares_memory(arr, given_arr)
+
+    @pytest.mark.parametrize("kind", ["mse", "md"])
+    def test_solve_batch_copies_each_input_once(self, kind):
+        # The 1,800-row chunk of the reference sweep: 9 points of 200 trials.
+        batch = tuple(np.concatenate(parts) for parts in zip(
+            *(_pipeline_batch(snr_db) for snr_db in pipeline.ExperimentConfig().comm_snr_db)))
+        laid_out = _solver_layout(*batch)
+
+        def peak(solve):
+            tracemalloc.start()
+            try:
+                solve()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def solve():
+            solve_batch(f"fdm_{kind}", *batch)
+
+        peak(solve)  # first-call allocations
+        one_copy = sum(a.nbytes for a in batch)
+        # The peak of solve_batch exceeds that of the core run on inputs
+        # laid out beforehand by one laid-out copy of the inputs, and no
+        # more.
+        assert peak(solve) <= peak(lambda: _DualCore(*laid_out).run(kind)) \
+            + one_copy + 64 * 1024
 
 
 def _oracle_value(inst, objective):
