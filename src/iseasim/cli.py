@@ -25,6 +25,7 @@ import numpy as np
 
 from . import entropy, pipeline, solvers
 from .channel import md_received, mse_at_rx
+from .streams import spawned_generators
 from .validation import (
     NonConvergenceError,
     ValidationError,
@@ -108,13 +109,13 @@ def _cmd_entropy_report(args) -> int:
 
 def _rayleigh_draws(config, v_idx, size) -> np.ndarray:
     """(trials, *size) unit-scale Rayleigh gains for comm-SNR point v_idx,
-    one seeded stream per trial."""
-    gains = np.empty((config.trials, *size))
-    for i in range(config.trials):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            config.seed, spawn_key=(_DOM_COMPARE, v_idx, i)))
-        gains[i] = rng.rayleigh(scale=np.sqrt(0.5), size=size)
-    return gains
+    trial i drawn from the SeedSequence(seed, spawn_key=(_DOM_COMPARE,
+    v_idx, i)) stream."""
+    keys = np.zeros((config.trials, 3), dtype=np.int64)
+    keys[:, :2] = _DOM_COMPARE, v_idx
+    keys[:, 2] = np.arange(config.trials)
+    return np.stack([rng.rayleigh(scale=np.sqrt(0.5), size=size)
+                     for rng in spawned_generators(config.seed, keys)])
 
 
 def _compare(args, scheme, columns, statistics) -> int:

@@ -11,7 +11,9 @@ and reduces each value's trials into a MetricsRecord row for CSV export.
 Determinism: every random quantity flows from the root seed through
 numpy SeedSequence spawn keys of the form (domain, value_index,
 trial_index), so a trial's draws do not depend on how trials are batched
-or distributed across worker processes.  Metric reductions are exactly
+or distributed across worker processes.  A chunk's per-trial streams are
+seeded in one pass (`streams.spawned_generators`), bit for bit as one
+SeedSequence per stream would seed them.  Metric reductions are exactly
 rounded sums (math.fsum), and confusion counts are exact integers.
 """
 
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .prior import (
     min_md,
     sample_arrays,
 )
+from .streams import spawned_generators
 from .validation import (
     NonConvergenceError,
     ValidationError,
@@ -71,13 +76,14 @@ EXCLUSION_LIMIT = 0.01
 # this many trials, each solved by one `solve_batch` call per (K, M)
 # shape.  The FDM polish pays its per-sweep numpy overhead once per chunk,
 # so larger chunks cost less per trial (the reference sweep's trial stream
-# on a 2-vCPU Xeon, numpy 2.4.6: at K = 3, about 590 us a trial in chunks
-# of 128, 245 at 2048, 210 at 4608; at K = 8, 370-460 us from 1024 up,
-# with no trend beyond the run-to-run spread), while the chunk's working
-# arrays grow by about 5 KiB a trial at K = 8 (peak RSS 47 MiB at 1024, 49
-# at 2048, 61 at 4096).  `calibrate` runs the estimator in blocks of this
-# many samples too (at L = 5, M = 4, 2.4 ms per 10,000 rwb rows in blocks
-# of 2048 or 4096, 2.8 at 1024, 5.2 in one block).
+# on a 2-vCPU Xeon, numpy 2.4.6, best of 3 in each of two runs: at K = 3,
+# 520-675 us a trial in chunks of 128, 172-186 at 2048, 128-166 at 4608;
+# at K = 8, 300-376 us from 1024 up, with no trend beyond the run-to-run
+# spread), while the chunk's working arrays grow by about 5 KiB a trial at
+# K = 8 (peak RSS 45 MiB at 1024, 49 at 2048, 55 at 4096).  `calibrate`
+# runs the estimator in blocks of this many samples too (at L = 5, M = 4,
+# 2.4 ms per 10,000 rwb rows in blocks of 2048 or 4096, 2.8 at 1024, 5.2
+# in one block).
 CHUNK_TRIALS = 2048
 
 # Default per-trial convergence gate (solver_opts["kkt_tol"]): the
@@ -394,39 +400,48 @@ def build_context(config: ExperimentConfig, variable: str, value,
 
 def _draw_trials(ctx: TrialContext, trial_indices):
     """Per-trial seeded draws: labels, features, sensing noise, channel
-    gains and receiver noise.  Each trial owns four child streams, the
-    children (_DOM_TRIAL, value_index, trial, j) of the root seed, so the
-    draws never depend on batch composition.  A label is drawn as
+    gains and receiver noise.  Each trial owns four streams, the
+    SeedSequence(seed, spawn_key=(_DOM_TRIAL, value_index, trial, j))
+    children j = 0..3 of the root seed, so the draws never depend on batch
+    composition; `spawned_generators` seeds all of them in one pass.  The
+    loop only draws each trial's raw variates; labels and the scaled and
+    shifted arrays are then formed for all trials at once, by the same
+    elementwise operations, so with the same bits.  A label is drawn as
     `Generator.choice(L, p=mixing)` draws it: one uniform, located in the
     normalized cumulative mixing weights."""
     prior = ctx.prior
-    K, M, N = ctx.sensing_vars.shape[0], prior.feature_dim, ctx.num_subcarriers
+    K, M = ctx.sensing_vars.shape[0], prior.feature_dim
+    N = 1 if ctx.scheme == "tdm" else ctx.num_subcarriers  # a TDM slot fades flat
     T = len(trial_indices)
-    labels = np.empty(T, dtype=np.int64)
-    X = np.empty((T, M))
-    X_tilde = np.empty((T, K, M))
+    u = np.empty(T)
+    z_feat = np.empty((T, M))
+    z_sense = np.empty((T, K, M))
     gains = np.empty((T, K, N))
-    w = np.empty((T, M))
+    z_comm = np.empty((T, M))
     sigma_r = np.sqrt(0.5)  # unit-scale Rayleigh magnitudes, E[gain^2] = 1
+    trials = np.asarray(trial_indices)
+    if trials.dtype.kind != "i":  # an empty range, or indices past int64
+        trials = np.array([operator.index(t) for t in trial_indices], dtype=object)
+    keys = np.zeros((T, 4, 4), dtype=trials.dtype)
+    keys[:, :, :2] = _DOM_TRIAL, ctx.value_index
+    keys[:, :, 2] = trials.reshape(T, 1)
+    keys[:, :, 3] = np.arange(4)
+    rngs = spawned_generators(ctx.seed, keys.reshape(4 * T, 4))
+    for i in range(T):
+        feat, sense, chan, comm = islice(rngs, 4)
+        u[i] = feat.random()
+        feat.standard_normal(out=z_feat[i])
+        sense.standard_normal(out=z_sense[i])
+        gains[i] = chan.rayleigh(scale=sigma_r, size=(K, N))
+        comm.standard_normal(out=z_comm[i])
     cdf = prior.mixing.cumsum()
     cdf /= cdf[-1]
-    for i, t in enumerate(trial_indices):
-        feat_ss, sense_ss, chan_ss, comm_ss = (
-            np.random.SeedSequence(ctx.seed, spawn_key=(_DOM_TRIAL, ctx.value_index, int(t), j))
-            for j in range(4))
-        rng = np.random.default_rng(feat_ss)
-        labels[i] = cdf.searchsorted(rng.random(), side="right") + 1
-        X[i] = prior.means[labels[i] - 1] + rng.standard_normal(M) * np.sqrt(prior.variances)
-        rng = np.random.default_rng(sense_ss)
-        X_tilde[i] = X[i] + rng.standard_normal((K, M)) * np.sqrt(ctx.sensing_vars)[:, None]
-        rng = np.random.default_rng(chan_ss)
-        if ctx.scheme == "tdm":
-            gains[i] = np.tile(rng.rayleigh(scale=sigma_r, size=(K, 1)), (1, N))
-        else:
-            gains[i] = rng.rayleigh(scale=sigma_r, size=(K, N))
-        rng = np.random.default_rng(comm_ss)
-        w[i] = rng.standard_normal(M) * np.sqrt(ctx.noise_var)
-    return labels, X, X_tilde, gains, w
+    labels = cdf.searchsorted(u, side="right") + 1
+    X = prior.means[labels - 1] + z_feat * np.sqrt(prior.variances)
+    X_tilde = X[:, None, :] + z_sense * np.sqrt(ctx.sensing_vars)[:, None]
+    if ctx.scheme == "tdm":
+        gains = np.repeat(gains, ctx.num_subcarriers, axis=2)
+    return labels, X, X_tilde, gains, z_comm * np.sqrt(ctx.noise_var)
 
 
 def _estimate_all(ctx: TrialContext, labels, X_tilde):
@@ -557,9 +572,11 @@ def run_trial(config: ExperimentConfig, trial_seed: int,
     """Single-trial reference path: returns (true label, predicted label,
     analytic total MSE, total received MD).  trial_seed is the trial
     index inside the root seed's stream."""
-    value = config.comm_snr_db[0] if comm_snr_db is None else comm_snr_db
+    trial_seed = check_count(trial_seed, "trial_seed", 0)
+    value = config.comm_snr_db[0] if comm_snr_db is None \
+        else check_db(comm_snr_db, "comm_snr_db")
     ctx = build_context(config, "comm_snr", value, 0)
-    out, = run_trials_batch([(ctx, [int(trial_seed)])])
+    out, = run_trials_batch([(ctx, [trial_seed])])
     if not out["converged"][0]:
         raise NonConvergenceError(
             f"trial {trial_seed}: solver failed to converge"

@@ -4,9 +4,10 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from iseasim import pipeline
+from iseasim import cli, pipeline
 from iseasim.cli import main
 from iseasim.validation import ValidationError
 
@@ -268,6 +269,19 @@ class TestCompareCommands:
         assert main(["fdm-compare", "--config", cfg,
                      "--output", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 7])
+@pytest.mark.parametrize("v_idx, size", [(0, (3, 4)), (3, (2, 1))])
+def test_rayleigh_draws_match_spawned_streams(seed, v_idx, size):
+    config = pipeline.ExperimentConfig(trials=40, seed=seed)
+    want = np.stack([
+        np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(cli._DOM_COMPARE, v_idx, i))).rayleigh(scale=np.sqrt(0.5), size=size)
+        for i in range(40)])
+    got = cli._rayleigh_draws(config, v_idx, size)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestValidateSolvers:

@@ -43,6 +43,14 @@ CASES = {
                      ("out.csv", "out_confusion.csv")),
     "fdm-compare": ("fdm-compare", dict(_SMALL, comm_snr_db=[0.0, 20.0]),
                     ("out.csv",)),
+    # A seed of three 32-bit words: the spawned streams' entropy is longer
+    # than one word.
+    "accuracy-fdm-long-seed": ("accuracy-sweep",
+                               dict(_SMALL, seed=2**64 + 7, comm_snr_db=[-10.0, 10.0, 40.0]),
+                               ("out.csv", "out_confusion.csv")),
+    "fdm-compare-long-seed": ("fdm-compare",
+                              dict(_SMALL, seed=2**64 + 7, comm_snr_db=[0.0, 20.0]),
+                              ("out.csv",)),
     "tdm-compare": ("tdm-compare",
                     dict(_SMALL, scheme="tdm", comm_snr_db=[0.0, 20.0]),
                     ("out.csv",)),
@@ -64,6 +72,10 @@ GOLDEN = {
         'out.csv': '4bc6ca579a5c385f8dcd3d4ac545a3c52255fc2807d140f180258a6b824f4ce2',
         'out_confusion.csv': 'faf89ce4e14bfa9765e4fc079ceb16031e4c6444621ae72ccdbb561cfb1bbb48',
     },
+    'accuracy-fdm-long-seed': {
+        'out.csv': 'ea4a5290f62261be54e8d22d3b0c03fb1b2dfa97072ed11541f83581207fd53d',
+        'out_confusion.csv': 'e55059191e120b4a00a68515498dc2e1773a75c8973cb333d87ccc4b5f3ac795',
+    },
     'accuracy-tdm': {
         'out.csv': '7cda968fa9c0a8828d64ce5fd896e0c820c7ebbba68f3fcdc94067b4d40147a1',
         'out_confusion.csv': '988ac0379901e0fc53f874d5d3499652431f94d270836b403f4486dd26bf069a',
@@ -76,6 +88,9 @@ GOLDEN = {
     },
     'fdm-compare': {
         'out.csv': '519ae3d3be036a79f3fbbf988aa0e16cfc60461df9b38eade548e3778a305a92',
+    },
+    'fdm-compare-long-seed': {
+        'out.csv': 'ec76775eb9b0a5ce21d6263e8e7d016e6831d24cde5058c26d9ed7e7598e17a1',
     },
     'tdm-compare': {
         'out.csv': '78a03e11932d3e28225a162b3ff90a307854de2e5a0f9d30431d8aaf2b9fb07f',

@@ -207,6 +207,18 @@ class TestRunTrial:
                                       map_classify_batch(ctx.prior, X))
         np.testing.assert_array_equal(out["clean_preds"], out["preds"])
 
+    @pytest.mark.parametrize("trial_seed", [-1, 0.5, True])
+    def test_bad_trial_seed_names_it(self, trial_seed):
+        # -1 used to raise numpy's own ValueError; 0.5 and True ran trials 0 and 1
+        with pytest.raises(ValidationError, match="^trial_seed must be an integer >= 0"):
+            run_trial(tiny_config(), trial_seed)
+
+    @pytest.mark.parametrize("comm_snr_db", [float("nan"), 1e5])
+    def test_bad_comm_snr_names_it(self, comm_snr_db):
+        # nan used to fail as "budgets must be finite", 1e5 as an OverflowError
+        with pytest.raises(ValidationError, match="^comm_snr_db must be"):
+            run_trial(tiny_config(), 0, comm_snr_db)
+
     def test_matches_batch_path(self):
         cfg = tiny_config(solver="fdm_md")
         ctx = pipeline.build_context(cfg, "comm_snr", 10.0, 0)
@@ -248,17 +260,21 @@ def _draw_trials_reference(ctx, trial_indices):
 
 
 class TestDrawTrials:
+    @pytest.mark.parametrize("seed, trials", [
+        (7, range(500)), (7, range(1234, 1300)), (7, range(0)), (2**64 + 7, range(60)),
+        # indices past int64, whose keys are Python ints
+        (7, range(2**63 - 2, 2**63 + 2)), (7, range(2**64 + 3, 2**64 + 5))])
     @pytest.mark.parametrize("mixing", [None, [0.5, 0.0, 0.2, 0.3, 0.0]])
     @pytest.mark.parametrize("scheme, solver", [("fdm", "fdm_md"), ("tdm", "tdm_md")])
-    def test_matches_spawned_streams_and_choice(self, scheme, solver, mixing):
+    def test_matches_spawned_streams_and_choice(self, scheme, solver, mixing, seed, trials):
         ctx = pipeline.build_context(
-            tiny_config(scheme=scheme, solver=solver, calibration_samples=100, seed=7),
+            tiny_config(scheme=scheme, solver=solver, calibration_samples=100, seed=seed),
             "comm_snr", 10.0, 2)
         if mixing is not None:
             ctx = replace(ctx, prior=GaussianMixturePrior(
                 means=ctx.prior.means, variances=ctx.prior.variances, mixing=mixing))
-        got = pipeline._draw_trials(ctx, range(500))
-        want = _draw_trials_reference(ctx, range(500))
+        got = pipeline._draw_trials(ctx, trials)
+        want = _draw_trials_reference(ctx, trials)
         for g, w in zip(got, want, strict=True):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()
