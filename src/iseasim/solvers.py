@@ -15,10 +15,12 @@ structures (quasi-static TDM slot, frequency-selective FDM subcarriers):
 * fdm_mse_dual    : dual decomposition solved as a monotone fixed point:
   from the equal-power split, alternate the MSE-optimal receive rule with
   the exact per-device power-constrained transmit update, whose
-  multiplier is found by a fixed-count Newton iteration (the log-domain
-  bisection `_bisect_fixed` is kept only as its test reference).  Each
-  instance runs up to 120 sweeps and stops early once its own auxiliary
-  settles, so results stay batch-invariant.
+  multiplier is found by a Newton iteration warm-started from the
+  previous sweep's multiplier, each multiplier stopping once its own
+  step is negligible (the log-domain bisection `_bisect_fixed` is kept
+  only as its test reference).  Each instance runs up to 120 sweeps and
+  stops early once its own auxiliary settles, so results stay
+  batch-invariant.
 * fdm_md_optimal  : the same scheme on the quadratic-transform auxiliary
   z_n of the received MD.
 
@@ -60,12 +62,20 @@ from .channel import (
 from .sums import pairwise_sum
 from .validation import ValidationError, as_matrix, as_vector, check_count
 
-# Newton steps of the per-device multiplier root (`_DualCore._lambda_for`).
-# A fixed count keeps every root bit-identical however instances are
-# batched; from its lower-bound start the iteration converges to float64
+# The per-device multiplier root (`_DualCore._lambda_for`): each
+# multiplier stops once a Newton step moves it by at most NEWTON_TOL
+# relative, and every multiplier stops after NEWTON_STEPS steps from the
+# cold start, or NEWTON_STEPS + 1 from a warm start.  A stopped multiplier
+# no longer changes, so every root is bit-identical however instances are
+# batched.  From the cold start the iteration converges to float64
 # precision within 10 steps (8 leave up to ~1e-6 relative error on rare
-# instances).
+# instances).  A warm start's first step lands between the cold start and
+# the root, and below the root the Newton map is increasing, so from there
+# every iterate is at least the cold start's; the extra step keeps the
+# cold start's bound.  From the previous polish sweep's multiplier a root
+# takes about 4 steps.
 NEWTON_STEPS = 10
+NEWTON_TOL = 1e-12
 # Brackets and halvings of the log-domain bisection `_bisect_fixed`, which
 # no solver calls: the tests check the Newton root against it.  64
 # halvings of [1e-30, 1e30] pin a root to full float64 precision.
@@ -432,7 +442,7 @@ class _DualCore:
         b = np.where(den > 0, c1 / np.where(den > 0, den, 1.0), 0.0)
         return np.minimum(b, 1e120)
 
-    def _lambda_for(self, c1, c2):
+    def _lambda_for(self, c1, c2, lam0=None):
         """Multiplier per device meeting its power budget with equality
         for the b-shape above; devices inside their budget at zero get
         zero.
@@ -440,17 +450,28 @@ class _DualCore:
         Newton on g(lam) = used(lam)^(-1/2) - P^(-1/2), where
         used(lam) = sum_n nu^2 c1^2 / (c2 + lam nu^2)^2.  Each term is
         x_n^-2 with x_n affine and increasing in lam, so g, a power mean
-        with p = -2, is concave and increasing.  The start, the largest
-        single-subcarrier root, has g <= 0 because no term exceeds the
-        sum; from there the iterates rise to the root without
-        overshooting, so no bracket is needed.  Shut-off subcarriers
-        (c1 = c2 = 0) add nothing.
+        with p = -2, is concave and increasing.  The cold start s0, the
+        largest single-subcarrier root, has g <= 0 because no term
+        exceeds the sum.  The iteration starts at max(lam0, s0), lam0
+        being a warm start such as the previous sweep's multiplier, and
+        every iterate is clamped at s0 from below.  From below the root
+        the iterates rise to it without overshooting; from above it, one
+        tangent step of the concave g lands at or below the root (or at
+        the clamp), and the iterates rise from there, so no bracket is
+        needed.  Each multiplier stops once its step is at most
+        NEWTON_TOL relative and then no longer changes, so its value
+        depends only on its own data; the loop ends when all have
+        stopped, or after NEWTON_STEPS steps (one more with a warm start,
+        whose first step may only bring it below the root).  Shut-off
+        subcarriers (c1 = c2 = 0) add nothing.
         """
         mom, budgets = self.mom, self.budgets
         active = self.power_used(self._b_shape(c1, c2, np.zeros_like(budgets))) > budgets
-        lam = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
-                                axis=2), 0.0)
-        for _ in range(NEWTON_STEPS):
+        s0 = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
+                               axis=2), 0.0)
+        lam = s0 if lam0 is None else np.maximum(lam0, s0)
+        moving = active
+        for _ in range(NEWTON_STEPS if lam0 is None else NEWTON_STEPS + 1):
             den = c2 + lam[:, :, None] * mom
             pos = den > 0
             den = np.where(pos, den, 1.0)
@@ -458,9 +479,14 @@ class _DualCore:
             used = _sum_subcarriers(mb2)
             # slope = -used'(lam) / 2; the step is -g / g'
             slope = _sum_subcarriers(mb2 * mom / den)
-            step = active & (slope > 0)
-            lam = lam + np.where(step, used * (np.sqrt(used / budgets) - 1.0)
-                                 / np.where(step, slope, 1.0), 0.0)
+            step = moving & (slope > 0)
+            new = np.maximum(lam + used * (np.sqrt(used / budgets) - 1.0)
+                             / np.where(step, slope, 1.0), s0)
+            lam_next = np.where(step, new, lam)
+            moving = step & (np.abs(lam_next - lam) > NEWTON_TOL * lam_next)
+            lam = lam_next
+            if not moving.any():
+                break
         return np.where(active, lam, 0.0)
 
     # -- monotone primal refinements ---------------------------------------
@@ -492,9 +518,11 @@ class _DualCore:
             return _sum_subcarriers(mse_min_rx(self.g, b, self.sv, self.noise))
         return _sum_subcarriers(md_received(self.g, b, self.sv, self.noise, self.delta))
 
-    def _step(self, kind, aux):
+    def _step(self, kind, aux, lam0=None):
+        """(lam, b) for the auxiliary aux, the multipliers warm-started
+        from lam0 (see `_lambda_for`)."""
         c1, c2 = self._coeffs(kind, aux)
-        lam = self._lambda_for(c1, c2)
+        lam = self._lambda_for(c1, c2, lam0)
         b = self._b_shape(c1, c2, lam)
         return lam, b
 
@@ -517,22 +545,27 @@ class _DualCore:
         auxiliary moved by at most POLISH_TOL relative stops: its auxiliary
         is frozen and its row leaves the working batch.  The rest run up to
         POLISH_SWEEPS sweeps.  A stop depends only on the instance's own
-        iterates, so results stay batch-invariant.  Returns (lam, aux, b,
-        sweeps) with b exactly optimal for the returned aux and lam, and
-        the sweeps each instance ran.
+        iterates, so results stay batch-invariant.  The multipliers of
+        each sweep's transmit update (the Aitken trial's where that is
+        taken) warm-start the next sweep's, and the Aitken trial starts
+        from the sweep's own; a row's last ones warm-start its final step.
+        Returns (lam, aux, b, sweeps) with b exactly optimal for the
+        returned aux and lam, and the sweeps each instance ran.
         """
         better = np.less if kind == "mse" else np.greater
         core = self
         upd = core.rx_update if kind == "mse" else core.z_update
         aux = upd(b)
         aux_prev = aux
+        lam = None
         final = np.empty_like(aux)
+        final_lam = np.empty_like(self.budgets)
         sweeps = np.full(self.B, POLISH_SWEEPS)
         rows = np.arange(self.B)  # the batch index of each working row
         for sweep in range(1, POLISH_SWEEPS + 1):
             if not rows.size:
                 break
-            _, b = core._step(kind, aux)
+            lam, b = core._step(kind, aux, lam)
             aux_next = upd(b)
             if sweep % 12 == 0:
                 d1 = aux - aux_prev
@@ -542,10 +575,11 @@ class _DualCore:
                 rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
                               0.0, 0.999)
                 aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
-                _, b_acc = core._step(kind, aux_acc)
+                lam_acc, b_acc = core._step(kind, aux_acc, lam)
                 take = better(core.objective(kind, b_acc),
                               core.objective(kind, b))
                 aux_next = np.where(take[:, None], upd(b_acc), aux_next)
+                lam = np.where(take[:, None], lam_acc, lam)
             aux_prev = aux
             aux = aux_next
             if sweep % 2 or sweep % 12 == 0 or sweep == POLISH_SWEEPS:
@@ -554,14 +588,16 @@ class _DualCore:
                     <= POLISH_TOL * np.max(np.abs(aux), axis=1))
             if done.any():
                 final[rows[done]] = aux[done]
+                final_lam[rows[done]] = lam[done]
                 sweeps[rows[done]] = sweep
                 keep = np.flatnonzero(~done)
                 rows = rows[keep]
-                aux, aux_prev = _dual_rows(aux, keep, self.N), _dual_rows(aux_prev, keep, self.N)
+                aux, aux_prev, lam = (_dual_rows(x, keep, self.N) for x in (aux, aux_prev, lam))
                 core = core._rows(keep)
                 upd = core.rx_update if kind == "mse" else core.z_update
         final[rows] = aux
-        lam, b = self._step(kind, final)
+        final_lam[rows] = lam
+        lam, b = self._step(kind, final, final_lam)
         return lam, final, b, sweeps
 
     # -- main loop --------------------------------------------------------

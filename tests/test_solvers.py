@@ -592,10 +592,12 @@ def _dual_core(moments, budgets):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(stack=_multiplier_stacks())
-def test_newton_multiplier_matches_the_bisection_reference(stack):
+@given(stack=_multiplier_stacks(), warm=st.sampled_from([0.0, 1.0 - 1e-6, 1.0, 10.0, 1e6]))
+def test_newton_multiplier_matches_the_bisection_reference(stack, warm):
     # c1 and c2 in the layout `_step` computes them in from the core's
-    # arrays, so the root runs on the solver's own memory order.
+    # arrays, so the root runs on the solver's own memory order.  Every
+    # example checks the cold start and a warm start at `warm` times the
+    # root.
     c1, c2, moments, budgets = _solver_layout(*stack)
     B, K, N = c1.shape
     assert N == 1 or B == 1 or c1.strides[0] == c1.itemsize
@@ -604,28 +606,56 @@ def test_newton_multiplier_matches_the_bisection_reference(stack):
     def used(lam):
         return core.power_used(core._b_shape(c1, c2, lam))
 
-    lam = core._lambda_for(c1, c2)
     active = used(np.zeros_like(budgets)) > budgets
     ref = np.where(active, _bisect_fixed(lambda x: used(x) - budgets, budgets.shape), 0.0)
-    np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=0.0)
-    assert np.all(np.abs(used(lam) - budgets)[active] <= 1e-12 * budgets[active])
-    for i in range(lam.shape[0]):
+    for lam0 in (None, warm * ref):
+        lam = core._lambda_for(c1, c2, lam0)
+        np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=0.0)
+        assert np.all(np.abs(used(lam) - budgets)[active] <= 1e-12 * budgets[active])
+        for i in range(lam.shape[0]):
+            alone = _dual_core(moments[i:i + 1], budgets[i:i + 1])._lambda_for(
+                c1[i:i + 1], c2[i:i + 1], None if lam0 is None else lam0[i:i + 1])
+            np.testing.assert_array_equal(alone[0], lam[i])
+
+
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_warm_and_cold_multipliers_in_one_batch_equal_themselves_alone(N):
+    # Rows warm-started at, just below and far above their root stop after
+    # fewer or more Newton steps than the cold rows between them; each
+    # row's bits must not depend on how long the others run.
+    rng = np.random.default_rng(N)
+    B, K = 16, 3
+    c1, c2, moments, budgets = _solver_layout(
+        10.0 ** rng.uniform(-3.0, 3.0, (B, K, N)), 10.0 ** rng.uniform(-3.0, 3.0, (B, K, N)),
+        10.0 ** rng.uniform(-1.5, 1.5, (B, K, N)), 10.0 ** rng.uniform(-4.0, 6.0, (B, K)))
+    assert N == 1 or c1.strides[0] == c1.itemsize
+    core = _dual_core(moments, budgets)
+    cold = core._lambda_for(c1, c2)
+    factors = np.array([0.0, 1.0, 1.0 - 1e-6, 0.0, 10.0, 0.0, 1e6, 0.0] * (B // 8))
+    warm = factors > 0
+    lam0 = factors[:, None] * cold
+    lam = core._lambda_for(c1, c2, lam0)
+    np.testing.assert_array_equal(lam[~warm], cold[~warm])
+    for i in range(B):
         alone = _dual_core(moments[i:i + 1], budgets[i:i + 1])._lambda_for(
-            c1[i:i + 1], c2[i:i + 1])
+            c1[i:i + 1], c2[i:i + 1], lam0[i:i + 1] if warm[i] else None)
         np.testing.assert_array_equal(alone[0], lam[i])
 
 
 class _FixedSweepCore(_DualCore):
     """The dual core with the polish that runs every instance for exactly
-    POLISH_SWEEPS sweeps, the reference of the per-instance stop rule."""
+    POLISH_SWEEPS sweeps, the reference of the per-instance stop rule.
+    Like the polish, it carries the multipliers from sweep to sweep as
+    warm starts."""
 
     def polish(self, kind, b):
         upd = self.rx_update if kind == "mse" else self.z_update
         better = np.less if kind == "mse" else np.greater
         aux = upd(b)
         aux_prev = aux
+        lam = None
         for sweep in range(1, POLISH_SWEEPS + 1):
-            _, b = self._step(kind, aux)
+            lam, b = self._step(kind, aux, lam)
             aux_next = upd(b)
             if sweep % 12 == 0:
                 d1 = aux - aux_prev
@@ -635,13 +665,14 @@ class _FixedSweepCore(_DualCore):
                 rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
                               0.0, 0.999)
                 aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
-                _, b_acc = self._step(kind, aux_acc)
+                lam_acc, b_acc = self._step(kind, aux_acc, lam)
                 take = better(self.objective(kind, b_acc),
                               self.objective(kind, b))
                 aux_next = np.where(take[:, None], upd(b_acc), aux_next)
+                lam = np.where(take[:, None], lam_acc, lam)
             aux_prev = aux
             aux = aux_next
-        lam, b = self._step(kind, aux)
+        lam, b = self._step(kind, aux, lam)
         return lam, aux, b, np.full(self.B, POLISH_SWEEPS)
 
 
@@ -717,7 +748,8 @@ class _COrderedCoreReference:
     """The dual core as it ran before its arrays were laid out batch
     innermost: C-ordered (B, K, N) arrays, sums over N through np.sum
     along the innermost axis, rows selected by fancy indexing.  Only
-    comments were removed; `solve_batch` must reproduce its bits."""
+    comments were removed, and the multiplier root follows the core's
+    warm start and stop rule; `solve_batch` must reproduce its bits."""
 
     def __init__(self, gains, budgets, moments, est_vars, noise, delta):
         self.g = gains
@@ -736,21 +768,28 @@ class _COrderedCoreReference:
         b = np.where(den > 0, c1 / np.where(den > 0, den, 1.0), 0.0)
         return np.minimum(b, 1e120)
 
-    def _lambda_for(self, c1, c2):
+    def _lambda_for(self, c1, c2, lam0=None):
         mom, budgets = self.mom, self.budgets
         active = self.power_used(self._b_shape(c1, c2, np.zeros((self.B, self.K)))) > budgets
-        lam = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
-                                axis=2), 0.0)
-        for _ in range(solvers.NEWTON_STEPS):
+        s0 = np.maximum(np.max((c1 * np.sqrt(mom / budgets[:, :, None]) - c2) / mom,
+                               axis=2), 0.0)
+        lam = s0 if lam0 is None else np.maximum(lam0, s0)
+        moving = active
+        for _ in range(solvers.NEWTON_STEPS if lam0 is None else solvers.NEWTON_STEPS + 1):
             den = c2 + lam[:, :, None] * mom
             pos = den > 0
             den = np.where(pos, den, 1.0)
             mb2 = mom * np.where(pos, c1 / den, 0.0) ** 2
             used = mb2.sum(axis=2)
             slope = (mb2 * mom / den).sum(axis=2)
-            step = active & (slope > 0)
-            lam = lam + np.where(step, used * (np.sqrt(used / budgets) - 1.0)
-                                 / np.where(step, slope, 1.0), 0.0)
+            step = moving & (slope > 0)
+            new = np.maximum(lam + used * (np.sqrt(used / budgets) - 1.0)
+                             / np.where(step, slope, 1.0), s0)
+            lam_next = np.where(step, new, lam)
+            moving = step & (np.abs(lam_next - lam) > solvers.NEWTON_TOL * lam_next)
+            lam = lam_next
+            if not moving.any():
+                break
         return np.where(active, lam, 0.0)
 
     def rx_update(self, b):
@@ -778,9 +817,9 @@ class _COrderedCoreReference:
             return np.sum(mse_min_rx(self.g, b, self.sv, self.noise), axis=1)
         return np.sum(md_received(self.g, b, self.sv, self.noise, self.delta), axis=1)
 
-    def _step(self, kind, aux):
+    def _step(self, kind, aux, lam0=None):
         c1, c2 = self._coeffs(kind, aux)
-        lam = self._lambda_for(c1, c2)
+        lam = self._lambda_for(c1, c2, lam0)
         b = self._b_shape(c1, c2, lam)
         return lam, b
 
@@ -794,13 +833,15 @@ class _COrderedCoreReference:
         upd = core.rx_update if kind == "mse" else core.z_update
         aux = upd(b)
         aux_prev = aux
+        lam = None
         final = np.empty_like(aux)
+        final_lam = np.empty_like(self.budgets)
         sweeps = np.full(self.B, POLISH_SWEEPS)
         rows = np.arange(self.B)
         for sweep in range(1, POLISH_SWEEPS + 1):
             if not rows.size:
                 break
-            _, b = core._step(kind, aux)
+            lam, b = core._step(kind, aux, lam)
             aux_next = upd(b)
             if sweep % 12 == 0:
                 d1 = aux - aux_prev
@@ -810,10 +851,11 @@ class _COrderedCoreReference:
                 rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
                               0.0, 0.999)
                 aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
-                _, b_acc = core._step(kind, aux_acc)
+                lam_acc, b_acc = core._step(kind, aux_acc, lam)
                 take = better(core.objective(kind, b_acc),
                               core.objective(kind, b))
                 aux_next = np.where(take[:, None], upd(b_acc), aux_next)
+                lam = np.where(take[:, None], lam_acc, lam)
             aux_prev = aux
             aux = aux_next
             if sweep % 2 or sweep % 12 == 0 or sweep == POLISH_SWEEPS:
@@ -822,13 +864,15 @@ class _COrderedCoreReference:
                     <= solvers.POLISH_TOL * np.max(np.abs(aux), axis=1))
             if done.any():
                 final[rows[done]] = aux[done]
+                final_lam[rows[done]] = lam[done]
                 sweeps[rows[done]] = sweep
                 keep = np.flatnonzero(~done)
-                rows, aux, aux_prev = rows[keep], aux[keep], aux_prev[keep]
+                rows, aux, aux_prev, lam = rows[keep], aux[keep], aux_prev[keep], lam[keep]
                 core = core._rows(keep)
                 upd = core.rx_update if kind == "mse" else core.z_update
         final[rows] = aux
-        lam, b = self._step(kind, final)
+        final_lam[rows] = lam
+        lam, b = self._step(kind, final, final_lam)
         return lam, final, b, sweeps
 
     def run(self, kind):
