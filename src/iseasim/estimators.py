@@ -18,12 +18,7 @@ the average of those variances over a calibration set.
 
 The rwb kernel, like the class scores in `prior`, works class-major: on
 (L, M, n) arrays with the row axis innermost, so each ufunc's inner loop
-runs over the n rows instead of the M features.  Its results are bit for
-bit those of the row-major (n, L, M) formulation, because every sum adds
-its terms in the order numpy adds them in that layout: a sum along the
-row-major innermost axis is pairwise from 8 terms on (`prior` keeps that
-rule in one helper), and a sum along its middle class axis runs in index
-order except at M = 1 (`_class_sum`).
+runs over the n rows instead of the M features.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .prior import responsibilities_batch
+from .sums import ordered_sum
 from .validation import ValidationError
 
 ESTIMATOR_TAGS = ("ml", "mmse", "rwb")
@@ -62,18 +58,6 @@ def mmse_posterior_var(prior, sensing_var):
     return v * sensing_var / (v + sensing_var)
 
 
-def _class_sum(a):
-    """Sum of a class-major (L, M, n) array over its class axis, bit for bit
-    as np.sum over axis 1 of the same values laid out (n, L, M).  numpy
-    adds that middle axis in index order, as np.sum over the leading axis
-    does here, except at M = 1: there the class axis is the innermost one
-    left and numpy sums it pairwise, so that case is summed in the
-    row-major layout."""
-    if a.shape[1] == 1:
-        return np.sum(np.ascontiguousarray(a.transpose(2, 0, 1)), axis=1).T
-    return np.sum(a, axis=0)
-
-
 def rwb_estimate_batch(prior, X_tilde, sensing_var):
     """Responsibility-weighted Bayesian estimates for rows of X_tilde, with
     the responsibilities computed under the true sensing variance.
@@ -89,13 +73,13 @@ def rwb_estimate_batch(prior, X_tilde, sensing_var):
     bar_mu = (shrink[:, None] * X_tilde.T.copy())[None, :, :] \
         + ((1.0 - shrink) * prior.means)[:, :, None]      # (L, M, n)
     weighted = theta * bar_mu
-    x_hat = _class_sum(weighted)                          # (M, n)
+    x_hat = ordered_sum(weighted, 0)                      # (M, n)
     bar_var = mmse_posterior_var(prior, s)
     # In place, reusing the two (L, M, n) arrays, as in prior._log_scores.
     spread = np.subtract(bar_mu, x_hat[None, :, :], out=bar_mu)
     np.multiply(theta, spread, out=weighted)
     weighted *= spread
-    post_var = bar_var[:, None] + _class_sum(weighted)
+    post_var = bar_var[:, None] + ordered_sum(weighted, 0)
     return x_hat.T, post_var.T
 
 

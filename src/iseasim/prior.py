@@ -6,8 +6,7 @@ class-conditional Gaussians sharing one diagonal covariance.  Class labels
 are 1-based throughout (1..L), matching the confusion-count CSV.  One
 class-score kernel serves the responsibilities and both classifiers; one
 class-pair kernel serves min_md and the discriminative prior, an array.
-The class-score kernel runs class-major, with the row axis innermost, and
-keeps the bits of the row-major sums (`sums.pairwise_sum`).
+The class-score kernel runs class-major, with the row axis innermost.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import pairwise_sum
+from .sums import ordered_sum
 from .validation import ValidationError, as_matrix, as_vector, check_finite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -117,8 +116,7 @@ def _log_scores(prior, X, var, observed=None):
 
     The work runs class-major, on (L, M, n) arrays with the row axis
     innermost, so every ufunc's inner loop runs over all n rows rather
-    than over the M features.  The sum over M keeps the bits of the
-    row-major sum along its innermost axis (`sums.pairwise_sum`)."""
+    than over the M features."""
     diff = X.T.copy()[None, :, :] - prior.means[:, :, None]
     if observed is not None:
         # where, not a product: 0 * inf in an unobserved dimension is nan
@@ -127,7 +125,7 @@ def _log_scores(prior, X, var, observed=None):
     # stack walk that costs more than the operation.
     terms = np.multiply(diff, diff, out=diff)
     terms /= var[:, None]
-    quad = pairwise_sum(terms.swapaxes(0, 1))
+    quad = ordered_sum(terms, 1)
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior.mixing)
     return log_prior[:, None] - 0.5 * quad
@@ -144,10 +142,10 @@ def responsibilities_batch(prior, X, sensing_var):
     total_var = prior.variances + sensing_var
     logits = _log_scores(prior, X, total_var) - 0.5 * np.sum(LOG_2PI + np.log(total_var))
     peak = logits.max(axis=0)
-    lse = peak + np.log(pairwise_sum(np.exp(logits - peak)))
+    lse = peak + np.log(ordered_sum(np.exp(logits - peak), 0))
     out = np.exp(logits - lse)
     # Exact renormalization: the columns already sum to 1 up to rounding.
-    out /= pairwise_sum(out)
+    out /= ordered_sum(out, 0)
     return out.T
 
 

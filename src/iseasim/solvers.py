@@ -34,11 +34,8 @@ The dual solver indexes its arrays (B, K, N) but stores them with the
 batch axis innermost in memory when N > 1: `solve_batch` builds each
 input once as a C-ordered (K, N, B) array seen through np.moveaxis, so
 every ufunc and every sum runs over the whole batch in its inner loop
-instead of over N = 4 subcarriers.  The results keep the bits of the
-C-ordered layout: sums over devices run in index order in both layouts,
-and sums over subcarriers add 8 or more terms pairwise, as numpy does
-along an innermost axis (`sums.pairwise_sum`).  The layout stays
-private; every function returns C-contiguous arrays.
+instead of over N = 4 subcarriers.  The layout stays private; every
+function returns C-contiguous arrays.
 
 All quantities are real magnitudes.  `moments` fields hold the second
 moments nu^2 of the transmitted estimates, `est_vars` the per-device
@@ -59,7 +56,7 @@ from .channel import (
     mse_min_rx,
     receive_rule,
 )
-from .sums import pairwise_sum
+from .sums import ordered_sum
 from .validation import ValidationError, as_matrix, as_vector, check_count
 
 # The per-device multiplier root (`_DualCore._lambda_for`): each
@@ -272,23 +269,20 @@ def _tdm_batch(kind, gains, budgets, moments, est_vars, noise, delta):
     segment stationary point tau_j = (sum u^2 + noise_eq) / (sum u),
     clamped to its segment, caps c_k = h_k b_k; the largest capped value
     wins, the first on ties, which is the smallest cap because the
-    clamped taus do not decrease in j.  Each candidate's prefix sums are
-    a fresh `np.sum` over its devices: a cumulative sum rounds differently
-    from numpy's pairwise sum once K >= 8.
+    clamped taus do not decrease in j.
     """
     if gains.shape[2] != 1:
         raise ValidationError(f"tdm_{kind} designs one TDM slot; gains have "
                               f"{gains.shape[2]} columns")
     h, mom, sv = gains[:, :, 0], moments[:, :, 0], est_vars[:, :, 0]
-    B, K = h.shape
+    B = h.shape[0]
     rows = np.arange(B)
     b_full = np.sqrt(budgets) / np.sqrt(mom)
     u = h * b_full
     order = np.argsort(u, axis=1, kind="stable")
 
     def prefix_sums(x):
-        xs = np.take_along_axis(x, order, axis=1)
-        return np.stack([np.sum(xs[:, :j], axis=1) for j in range(1, K + 1)], axis=1)
+        return np.cumsum(np.take_along_axis(x, order, axis=1), axis=1)
 
     if kind == "mse":
         a = prefix_sums(h * sv * b_full) / (prefix_sums(u ** 2 * sv) + noise[:, None])
@@ -386,21 +380,11 @@ def _dual_rows(x, keep, N):
     """Rows `keep` (indices) of x (B, ...), copied into the dual solver's
     memory layout for N subcarriers: the batch axis innermost (a C-array
     (..., B) seen as (B, ...) through np.moveaxis) at N > 1, C order at
-    N = 1 (see `_DualCore`)."""
+    N = 1, where the channel kernels' device sums keep the bits of the C
+    layout."""
     if N == 1:
         return x[keep]
     return np.moveaxis(np.moveaxis(x, 0, -1).take(keep, axis=-1), -1, 0)
-
-
-def _sum_subcarriers(x):
-    """Sum over the last axis (N) of x, in any layout, with the bits of
-    np.sum along the innermost axis of a C-ordered x: pairwise from 8
-    terms on (`pairwise_sum`), in index order below.  Below 8 terms the
-    sum runs in x's own layout, which costs half as much as summing the
-    moved view."""
-    if x.shape[-1] < 8:
-        return x.sum(axis=-1)
-    return pairwise_sum(np.moveaxis(x, -1, 0))
 
 
 class _DualCore:
@@ -413,12 +397,8 @@ class _DualCore:
     `solve_batch` lays the arrays out with the batch axis innermost at
     N > 1 (`_dual_rows`), so each ufunc's inner loop runs over the whole
     batch rather than over N = 4 subcarriers; the core copies no input,
-    and selects rows in that layout.  Values do not depend on the layout:
-    sums over devices run in index order in either layout at N > 1, and
-    sums over subcarriers go through `_sum_subcarriers`.  At N = 1 numpy
-    adds 8 or more devices pairwise in the C layout, which the channel
-    kernels' device sums in the batch-innermost one would not, so there
-    the arrays stay C-ordered."""
+    and selects rows in that layout.  At N = 1 the arrays stay C-ordered
+    (`_dual_rows`)."""
 
     def __init__(self, gains, budgets, moments, est_vars, noise, delta):
         self.g = gains
@@ -432,7 +412,7 @@ class _DualCore:
     # -- per-device multipliers ------------------------------------------
 
     def power_used(self, b):
-        return _sum_subcarriers(self.mom * b * b)
+        return ordered_sum(self.mom * b * b, -1)
 
     def _b_shape(self, c1, c2, lam):
         """Per-device constrained optimum b_kn = c1 / (c2 + lam nu^2),
@@ -476,9 +456,9 @@ class _DualCore:
             pos = den > 0
             den = np.where(pos, den, 1.0)
             mb2 = mom * np.where(pos, c1 / den, 0.0) ** 2
-            used = _sum_subcarriers(mb2)
+            used = ordered_sum(mb2, -1)
             # slope = -used'(lam) / 2; the step is -g / g'
-            slope = _sum_subcarriers(mb2 * mom / den)
+            slope = ordered_sum(mb2 * mom / den, -1)
             step = moving & (slope > 0)
             new = np.maximum(lam + used * (np.sqrt(used / budgets) - 1.0)
                              / np.where(step, slope, 1.0), s0)
@@ -515,8 +495,8 @@ class _DualCore:
 
     def objective(self, kind, b):
         if kind == "mse":
-            return _sum_subcarriers(mse_min_rx(self.g, b, self.sv, self.noise))
-        return _sum_subcarriers(md_received(self.g, b, self.sv, self.noise, self.delta))
+            return ordered_sum(mse_min_rx(self.g, b, self.sv, self.noise), -1)
+        return ordered_sum(md_received(self.g, b, self.sv, self.noise, self.delta), -1)
 
     def _step(self, kind, aux, lam0=None):
         """(lam, b) for the auxiliary aux, the multipliers warm-started
@@ -570,8 +550,8 @@ class _DualCore:
             if sweep % 12 == 0:
                 d1 = aux - aux_prev
                 d2 = aux_next - aux
-                num = _sum_subcarriers(d2 * d1)
-                den = _sum_subcarriers(d1 * d1)
+                num = ordered_sum(d2 * d1, -1)
+                den = ordered_sum(d1 * d1, -1)
                 rho = np.clip(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0),
                               0.0, 0.999)
                 aux_acc = np.maximum(aux_next + d2 * (rho / (1.0 - rho))[:, None], 0.0)
@@ -972,7 +952,8 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
     """Cross-check every solver against the brute-force oracle on random
     small instances, plus the structural invariants (feasibility, TDM
     design equivalence under homogeneous variances, FDM objective
-    dominance).  Returns (name, passed, detail) triples."""
+    dominance).  Returns (name, passed, detail) triples; a detail shows a
+    gap or residual below 1e-12, which is round-off, as "< 1e-12"."""
     check_count(n_instances, "instances")
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -980,6 +961,9 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
 
     def rel_gap(a, b):
         return abs(a - b) / max(abs(b), TINY)
+
+    def shown(x):
+        return "< 1e-12" if x < 1e-12 else f"{x:.3e}"
 
     worst = {"tdm_mse": 0.0, "tdm_md": 0.0, "fdm_mse": 0.0, "fdm_md": 0.0}
     worst_kkt = 0.0
@@ -1020,11 +1004,11 @@ def oracle_validation_suite(n_instances: int, seed: int) -> list:
 
     for name in ("tdm_mse", "tdm_md", "fdm_mse", "fdm_md"):
         checks.append((f"{name} matches oracle within 1e-3", worst[name] <= 1e-3,
-                       f"worst relative gap {worst[name]:.3e}"))
+                       f"worst relative gap {shown(worst[name])}"))
     checks.append(("dual solver KKT residuals below 1e-6", worst_kkt <= 1e-6,
-                   f"worst residual {worst_kkt:.3e}"))
+                   f"worst residual {shown(worst_kkt)}"))
     checks.append(("TDM designs equivalent under homogeneous variances",
-                   worst_equiv <= 1e-6, f"worst relative gap {worst_equiv:.3e}"))
+                   worst_equiv <= 1e-6, f"worst relative gap {shown(worst_equiv)}"))
     checks.append(("FDM dominance (MSE and MD ordering)", dominance_ok,
                    f"{n_instances} instances"))
     return checks

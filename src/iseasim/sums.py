@@ -1,10 +1,8 @@
-"""Sums that keep the bits of numpy's innermost-axis sum in other layouts.
+"""The one summation rule of the batched kernels.
 
-The class-major Gaussian-mixture kernels (`prior`) and the dual solver
-(`solvers`) keep a batch axis innermost in memory, and sum along a
-leading or middle axis what a C-ordered layout summed along its
-innermost one.  `pairwise_sum` adds those terms in numpy's innermost
-order, so the results keep the C-ordered layout's bits.
+Every sum over an axis of a batched kernel adds its terms in index order,
+whatever the memory layout or the batch size, so a row's result does not
+depend on the rows stored next to it.
 """
 
 from __future__ import annotations
@@ -12,29 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def pairwise_sum(a):
-    """Sum over the leading axis of `a`, bit for bit as np.sum adds the
-    same terms along the innermost axis of a C-ordered array.
+def ordered_sum(a, axis):
+    """Sum of `a` over `axis`, adding the terms in index order.
 
-    np.sum adds along any other axis in index order, as it does here below
-    8 terms.  Along the innermost axis (the last one longer than 1) it adds
-    8 or more terms pairwise: 8 interleaved partial sums over blocks of at
-    most 128 terms, halving longer runs at a multiple of 8.
-    (numpy adds the sum to a zero-initialized output, which only turns a
-    -0.0 sum into 0.0; only an all-zero run of terms can give -0.0.)
+    np.sum adds in index order below 8 terms in any layout.  From 8 terms
+    on it adds pairwise along an innermost axis, so a running sum is taken
+    instead.
     """
-    n = len(a)
-    if n < 8:
-        return np.sum(a, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
-    # order K: the partial sums keep the caller's memory layout
-    part = a[:8].copy(order="K")
-    for i in range(8, n - n % 8, 8):
-        part += a[i:i + 8]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) \
-        + ((part[4] + part[5]) + (part[6] + part[7]))
-    for i in range(n - n % 8, n):
-        total += a[i]
-    return total
+    if a.shape[axis] < 8:
+        return a.sum(axis=axis)
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)

@@ -96,7 +96,7 @@ GOLDEN = {
         'out.csv': '78a03e11932d3e28225a162b3ff90a307854de2e5a0f9d30431d8aaf2b9fb07f',
     },
     'validate-solvers': {
-        'stdout': '73ef66980d8a1ced273c8ec6dadfcc035f07dbaa8892416f0f9966cf53637686',
+        'stdout': '3bebe4479bc6e54f73c64a0471cc6cdec16c9865bdbccec1d4910eb71a593952',
     },
 }
 

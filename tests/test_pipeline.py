@@ -21,7 +21,7 @@ from iseasim.pipeline import (
 from iseasim.estimators import estimate_batch, observe_batch
 from iseasim.prior import GaussianMixturePrior, map_classify_batch, min_md, sample_arrays
 from iseasim.validation import NonConvergenceError, ValidationError
-from test_prior import _rwb_reference
+from test_prior import _assert_close, _rwb_reference
 
 
 def tiny_config(**kwargs):
@@ -128,8 +128,9 @@ class TestTargetSensingVars:
         np.testing.assert_allclose(sv, sv[0])
 
 
-def _calibrate_reference(prior, sensing_vars, estimator, n_samples, seed):
-    """calibrate as one unblocked pass, with the row-major rwb kernel."""
+def _calibrate_reference(prior, sensing_vars, estimator, n_samples, seed, row_major):
+    """calibrate as one unblocked pass, with the package's rwb kernel or,
+    if `row_major`, the row-major one."""
     sensing_vars = np.asarray(sensing_vars, dtype=np.float64)
     K, M = sensing_vars.shape[0], prior.feature_dim
     children = np.random.SeedSequence(seed).spawn(K + 1)
@@ -138,11 +139,13 @@ def _calibrate_reference(prior, sensing_vars, estimator, n_samples, seed):
     nu2 = np.empty((K, M))
     for k in range(K):
         X_tilde = observe_batch(X, sensing_vars[k], children[k + 1])
-        if estimator == "rwb":
+        if estimator == "rwb" and row_major:
             X_hat, pv = _rwb_reference(prior, X_tilde, sensing_vars[k])
         else:
             X_hat, pv = estimate_batch(estimator, prior, X_tilde, sensing_vars[k],
                                        labels=labels)
+        # calibrate takes its means over C-ordered copies of the estimates
+        X_hat, pv = np.ascontiguousarray(X_hat), np.ascontiguousarray(pv)
         sigma_hat[k] = np.maximum(pv.mean(axis=0), pipeline._EST_VAR_FLOOR)
         nu2[k] = np.maximum((X_hat * X_hat).mean(axis=0), pipeline._EST_VAR_FLOOR)
     return sigma_hat, nu2
@@ -157,9 +160,18 @@ class TestCalibrate:
         prior = default_prior(num_classes, feature_dim)
         sv = [0.05, 0.3, 1.5]
         cal = calibrate(prior, sv, estimator, n_samples, seed=4)
-        sigma_hat, nu2 = _calibrate_reference(prior, sv, estimator, n_samples, seed=4)
+        sigma_hat, nu2 = _calibrate_reference(prior, sv, estimator, n_samples, seed=4,
+                                              row_major=False)
         assert cal.sigma_hat.tobytes() == sigma_hat.tobytes()
         assert cal.nu2.tobytes() == nu2.tobytes()
+        # The row-major kernel adds 8 or more classes or dimensions
+        # pairwise, so from there its statistics may differ in rounding.
+        for got, want in zip((cal.sigma_hat, cal.nu2), _calibrate_reference(
+                prior, sv, estimator, n_samples, seed=4, row_major=True)):
+            if num_classes < 8 and feature_dim < 8:
+                assert got.tobytes() == want.tobytes()
+            else:
+                _assert_close(got, want, np.abs(want).max())
 
     def test_working_arrays_do_not_grow_with_the_samples(self):
         # Past the per-sample arrays that the ml estimator keeps too, rwb's
