@@ -107,18 +107,24 @@ def _ratio(num, den):
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-def _signal_noise(hb, est_vars, noise):
-    """sum_k (h b)^2 shat^2 + noise.  Callers evaluate it before any other
-    per-subcarrier sum, so that no (..., N) array is alive while its
-    (..., K, N) temporaries set the peak memory of a large batch."""
-    return (hb * hb * est_vars).sum(axis=-2) + noise
+def received(power, num, noise, est_sum=None, delta=None):
+    """Per subcarrier, the MSE under the receive rule est_sum - num^2 / den
+    (est_sum = sum_k shat^2), or the received MD delta num^2 / den, from the
+    device sums power = sum_k (h b)^2 shat^2 and num = sum_k h b shat^2
+    (MSE) or sum_k h b (MD), with den = power + noise.  A scalar noise > 0
+    keeps den > 0; else the ratio is 0 where den = 0."""
+    den = power + noise
+    top = num * num if delta is None else delta * (num * num)
+    ratio = top / den if np.isscalar(noise) and noise > 0 else _ratio(top, den)
+    return ratio if est_sum is None else est_sum - ratio
 
 
 def receive_rule(gains, tx, est_vars, noise):
     """MSE-minimizing receive coefficient for fixed transmit magnitudes:
     a_n = sum_k h b shat^2 / (sum_k (h b)^2 shat^2 + noise)."""
     hb = gains * tx
-    den = _signal_noise(hb, est_vars, noise)
+    # The denominator first: no (..., N) array lives beside its temporaries.
+    den = (hb * hb * est_vars).sum(axis=-2) + noise
     return _ratio((hb * est_vars).sum(axis=-2), den)
 
 
@@ -131,16 +137,16 @@ def mse_at_rx(gains, tx, rx, est_vars, noise):
 
 
 def mse_min_rx(gains, tx, est_vars, noise):
-    """Aggregation MSE per subcarrier under the receive rule:
-    sum_k shat^2 - (sum_k h b shat^2)^2 / (sum_k (h b)^2 shat^2 + noise)."""
+    """Aggregation MSE per subcarrier under the receive rule (`received`).
+    Each device sum's (..., K, N) temporaries are freed before the next."""
     hb = gains * tx
-    den = _signal_noise(hb, est_vars, noise)
-    return est_vars.sum(axis=-2) - _ratio((hb * est_vars).sum(axis=-2) ** 2, den)
+    return received((hb * hb * est_vars).sum(axis=-2), (hb * est_vars).sum(axis=-2),
+                    noise, est_sum=est_vars.sum(axis=-2))
 
 
 def md_received(gains, tx, est_vars, noise, delta):
-    """Received minimum inter-class Mahalanobis distance per subcarrier:
-    delta_n (sum_k h b)^2 / (sum_k (h b)^2 shat^2 + noise)."""
+    """Received minimum inter-class Mahalanobis distance per subcarrier
+    (`received`)."""
     hb = gains * tx
-    den = _signal_noise(hb, est_vars, noise)
-    return _ratio(delta * hb.sum(axis=-2) ** 2, den)
+    return received((hb * hb * est_vars).sum(axis=-2), hb.sum(axis=-2), noise,
+                    delta=delta)

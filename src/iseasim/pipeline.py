@@ -23,7 +23,6 @@ import csv
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 
@@ -673,6 +672,8 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
     if workers <= 1:
         results = map(run_trials_batch, batches)
     else:
+        # Imported here: a serial run does not pay for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trials_batch, batches))
     parts = [[] for _ in ctxs]

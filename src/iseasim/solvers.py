@@ -55,6 +55,7 @@ from .channel import (
     mse_at_rx,
     mse_min_rx,
     receive_rule,
+    received,
 )
 from .sums import ordered_sum
 from .validation import ValidationError, as_matrix, as_vector, check_count
@@ -725,6 +726,39 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOOKAHEAD = 3
 
 
+def _steps_ahead(brackets, lefts, depth):
+    """(points probed, leaf brackets) of the next `depth` steps of each
+    bracket (a, b, c, d), whose first step goes left where `lefts` holds,
+    node-major over the brackets.  Node k of level j steps left (keeps
+    [a, d], probes a new c) to node k of level j + 1 and right (keeps
+    [c, b], probes a new d) to node k + 2**j."""
+    if not depth:
+        return [], brackets
+    level = [(a, d, d - _INVPHI * (d - a), c) if left
+             else (c, b, d, c + _INVPHI * (b - c))
+             for (a, b, c, d), left in zip(brackets, lefts)]
+    points = [t[2] if left else t[3] for t, left in zip(level, lefts)]
+    for _ in range(1, depth):
+        to_left = [(a, d, d - _INVPHI * (d - a), c) for a, b, c, d in level]
+        to_right = [(c, b, d, c + _INVPHI * (b - c)) for a, b, c, d in level]
+        points += [t[2] for t in to_left] + [t[3] for t in to_right]
+        level = to_left + to_right
+    return points, level
+
+
+def _walk(f, g, depth, vals, start, stride):
+    """Walk `depth` steps from the inner values (f, g) down a tree whose
+    node i scored vals[start + i * stride]: (new f, new g, leaf)."""
+    k = 0
+    for j in range(depth):
+        left = f <= g
+        if j and not left:
+            k += 2 ** (j - 1)
+        fx = vals[start + (2 ** j - 1 + k) * stride]
+        f, g = (fx, f) if left else (g, fx)
+    return f, g, k
+
+
 def _golden_section(fun, size):
     """Deterministic golden-section minimization on [0, 1] of `size`
     independent problems at once: fun maps an (m, size) array of points
@@ -736,99 +770,104 @@ def _golden_section(fun, size):
     on a tie, the right side when either value is NaN, as `fc <= fd`
     decides), so the first of the next steps is known and the rest branch:
     1 + 2 + 4 points per problem for three steps.  One call evaluates all
-    of them, and each problem then walks its own path.  The brackets are
+    of them, and each problem then walks its own path; the first call adds
+    the two inner points to the trees of both first steps.  The brackets are
     Python floats, which round as numpy's float64 arithmetic does, so each
     problem takes the steps, and returns the bits, of a plain loop of
     GOLDEN_ITERS single steps.
     """
     lo, hi = 0.0, 1.0
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = fun(np.array([[c] * size, [d] * size])).tolist()
-    brackets = [(lo, hi, c, d)] * size
-    for done in range(0, GOLDEN_ITERS, _LOOKAHEAD):
+    depth = min(_LOOKAHEAD, GOLDEN_ITERS)
+    trees = [_steps_ahead([(lo, hi, c, d)], [left], depth) for left in (True, False)]
+    first = np.array([c, d] + trees[0][0] + trees[1][0])
+    vals = fun(first[:, None].repeat(size, axis=1)).ravel().tolist()
+    fc, fd, brackets = vals[:size], vals[size:2 * size], []
+    for s in range(size):
+        t = 0 if fc[s] <= fd[s] else 1
+        start = (2 + t * (2 ** depth - 1)) * size + s
+        fc[s], fd[s], k = _walk(fc[s], fd[s], depth, vals, start, size)
+        brackets.append(trees[t][1][k])
+    for done in range(depth, GOLDEN_ITERS, _LOOKAHEAD):
         depth = min(_LOOKAHEAD, GOLDEN_ITERS - done)
-        # The steps ahead, level by level, as brackets (a, b, c, d) listed
-        # node-major over the problems.  Level 0 is the known step; node k
-        # of level j steps left to node k of level j + 1 and right to node
-        # k + 2**j.  A left step keeps [a, d] and probes a new c, a right
-        # step keeps [c, b] and probes a new d.
-        lefts = [f <= g for f, g in zip(fc, fd)]
-        level = [(a, d, d - _INVPHI * (d - a), c) if left
-                 else (c, b, d, c + _INVPHI * (b - c))
-                 for (a, b, c, d), left in zip(brackets, lefts)]
-        points = [t[2] if left else t[3] for t, left in zip(level, lefts)]
-        for _ in range(1, depth):
-            to_left = [(a, d, d - _INVPHI * (d - a), c) for a, b, c, d in level]
-            to_right = [(c, b, d, c + _INVPHI * (b - c)) for a, b, c, d in level]
-            points += [t[2] for t in to_left] + [t[3] for t in to_right]
-            level = to_left + to_right
+        points, level = _steps_ahead(brackets, [f <= g for f, g in zip(fc, fd)], depth)
         vals = fun(np.array(points).reshape(-1, size)).ravel().tolist()
         for s in range(size):
-            f, g, k = fc[s], fd[s], 0
-            for j in range(depth):
-                left = f <= g
-                if j and not left:
-                    k += 2 ** (j - 1)
-                fx = vals[(2 ** j - 1 + k) * size + s]
-                f, g = (fx, f) if left else (g, fx)
-            fc[s], fd[s] = f, g
+            fc[s], fd[s], k = _walk(fc[s], fd[s], depth, vals, s, size)
             brackets[s] = level[k * size + s]
     x = np.array([0.5 * (a + b) for a, b, _, _ in brackets])
     return x, fun(x[None])[0]
 
 
-def _params_to_tx(params, budgets, moments, out):
-    """Map box parameters in [0,1] to feasible transmit magnitudes, written
-    into out (..., K, N) and returned.
+class _PerDevice:
+    """The oracle's objective from per-device terms.  Device k's box
+    parameters, its power-use share s (N = 1) or s and its split t across
+    two subcarriers (N = 2), alone set its terms: (h b)^2 shat^2, and
+    h b shat^2 (mse) or h b (md), per subcarrier."""
 
-    N = 1: one power-use share s_k per device.
-    N = 2: (s_k, t_k) with t_k splitting the used power across the two
-    subcarriers.  params has shape (..., D) with D = K or 2K.
-    """
-    if moments.shape[1] == 1:
-        np.sqrt(params * budgets / moments[:, 0], out=out[..., 0])
-        return out
-    s = params[..., 0::2]
-    t = params[..., 1::2]
-    np.sqrt(s * t * budgets / moments[:, 0], out=out[..., 0])
-    np.sqrt(s * (1.0 - t) * budgets / moments[:, 1], out=out[..., 1])
-    return out
+    def __init__(self, inst, objective):
+        self.g, self.budgets, self.moments, self.sv, self.noise, delta, _ = _arrays(inst)
+        self.mse = objective == "mse"
+        self.delta = None if self.mse else delta
+        self.est_sum = self.sv.sum(axis=0) if self.mse else None
+
+    def tx(self, k, s, t=None):
+        """Device k's transmit magnitudes (..., N)."""
+        split = s[..., None] if t is None else \
+            np.concatenate([(s * t)[..., None], (s * (1.0 - t))[..., None]], axis=-1)
+        return np.sqrt(split * self.budgets[k] / self.moments[k])
+
+    def terms(self, k, *params):
+        hb = self.g[k] * self.tx(k, *params)
+        return hb * hb * self.sv[k], hb * self.sv[k] if self.mse else hb
+
+    def value(self, terms):
+        """The objective (MD negated) from a list of device terms, added in
+        index order as a sum over the device axis adds them."""
+        power, num = terms[0]
+        for power_k, num_k in terms[1:]:
+            power, num = power + power_k, num + num_k
+        out = received(power, num, self.noise, self.est_sum, self.delta).sum(axis=-1)
+        return out if self.mse else -out
 
 
-def _grid_starts(value, grid_resolution, budgets, moments):
+def _grid_starts(model, grid_resolution):
     """The ORACLE_STARTS points of the box-parameter grid with the smallest
-    value(tx) (ties to the earlier point in `ij` order), as (S, D) params.
+    value (ties to the earlier point in `ij` order), as (S, D) params with
+    their (S,) values.
 
-    The grid is evaluated one slice at a time, a slice being every point
-    with a given leading parameter, so memory stays at one slice.  Each
-    slice's stable top S is in value order with ties in grid order, and the
-    slices follow the grid order, so one stable sort of the slices'
-    candidates ranks them as a stable sort of the whole grid would.
+    Each device's terms are tabled once over its own parameter tuples.  The
+    grid is scored one slice at a time, a slice being every point with a
+    given leading parameter, by broadcasting the tables, so memory stays at
+    one slice.  Each slice's stable top S is in value order
+    with ties in grid order, and the slices follow the grid order, so one
+    stable sort of the slices' candidates ranks them as a stable sort of
+    the whole grid would.
     """
-    K, N = moments.shape
-    dims = K if N == 1 else 2 * K
-    axis = np.linspace(0.0, 1.0, grid_resolution)
-    # The point axis is the fastest in memory, so the kernels' sums over
-    # devices add whole rows.  The sums have at most three terms, which
-    # numpy adds in order in either layout, so the values do not change.
-    M = grid_resolution ** (dims - 1)
-    chunk = np.empty((dims, M)).T
-    for j, m in enumerate(np.meshgrid(*([axis] * (dims - 1)), indexing="ij")):
-        chunk[:, j + 1] = m.ravel()
-    tx = np.empty((K, N, M)).transpose(2, 0, 1)
-    k = min(ORACLE_STARTS, M)
-    top_v, top_p = [], []
-    for x0 in axis:
-        chunk[:, 0] = x0
-        vals = value(_params_to_tx(chunk, budgets, moments, tx))
+    K, N = model.g.shape
+    dims, res = K * N, grid_resolution
+    axis = np.linspace(0.0, 1.0, res)
+    tables = []
+    for k in range(K):
+        shape = [1] * (N * k) + [res] * N + [1] * (dims - N * k - N) + [N]
+        terms = model.terms(k, *np.meshgrid(*[axis] * N, indexing="ij", sparse=True))
+        # The subcarrier axis outermost in memory keeps the inner loops long.
+        tables.append([np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1).reshape(shape)
+                       for x in terms])
+    first, rest = tables[0], [(power[0], num[0]) for power, num in tables[1:]]
+    top_v, top_i = [], []
+    for i0 in range(res):
+        vals = model.value([(first[0][i0], first[1][i0])] + rest).ravel()
+        k = min(ORACLE_STARTS, vals.size)
         # Stable top k: the points not above the k-th smallest value, in
         # grid order, then sorted by value.
         near = np.flatnonzero(~(vals > np.partition(vals, k - 1)[k - 1]))
         top = near[np.argsort(vals[near], kind="stable")[:k]]
         top_v.append(vals[top])
-        top_p.append(chunk[top])
-    order = np.argsort(np.concatenate(top_v), kind="stable")
-    return np.concatenate(top_p)[order[:ORACLE_STARTS]]
+        top_i.append(i0 * vals.size + top)
+    order = np.argsort(np.concatenate(top_v), kind="stable")[:ORACLE_STARTS]
+    index = np.unravel_index(np.concatenate(top_i)[order], [res] * dims)
+    return axis[np.stack(index, axis=-1)], np.concatenate(top_v)[order]
 
 
 def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
@@ -845,7 +884,8 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
     descend in lock-step: each coordinate is one golden-section search
     run for all of them at once, for at most refine_sweeps sweeps, and
     the descent stops after the first sweep in which no start improves.
-    The first start with the strictly smallest value wins.  Each search
+    A search recomputes only the `_PerDevice` terms of the device whose
+    parameter moves.  The first start with the strictly smallest value wins.  Each search
     evaluates the points of its next three steps in one call (see
     `_golden_section`), and the result is bit for bit that of a loop over
     the starts with one evaluation per step.
@@ -854,46 +894,36 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
         raise ValidationError(f"objective must be 'mse' or 'md', got {objective!r}")
     check_count(grid_resolution, "grid_resolution")
     check_count(refine_sweeps, "refine_sweeps", 0)
-    g, budgets, moments, sv, noise, delta, _ = _arrays(inst)
-    K, N = g.shape
+    model = _PerDevice(inst, objective)
+    K, N = model.g.shape
     if K * N > 6:
         raise ValidationError(
             f"brute_force_oracle supports at most 6 free coefficients, got {K * N}"
         )
     if N > 2:
         raise ValidationError("brute_force_oracle supports at most 2 subcarriers")
-    if objective == "md" and np.all(delta <= 0):
+    if objective == "md" and np.all(model.delta <= 0):
         raise ValidationError("md objective requires delta > 0 somewhere")
 
-    def value(tx):
-        if objective == "mse":
-            return np.sum(mse_min_rx(g, tx, sv, noise), axis=-1)
-        return -np.sum(md_received(g, tx, sv, noise, delta), axis=-1)
-
-    p = _grid_starts(value, grid_resolution, budgets, moments)
+    p, v = _grid_starts(model, grid_resolution)
     S, dims = p.shape
-    v = value(_params_to_tx(p, budgets, moments, np.empty((S, K, N))))
-    # (params, tx) buffers of `along`, one pair per number of points per
-    # start that `_golden_section` asks for at once.
-    buffers = {}
+    fixed = [model.terms(k, *p[:, N * k:N * k + N].T) for k in range(K)]
     # A start whose sweep improves nothing has stopped where a loop over
     # the starts would break: its next sweep repeats the same searches
     # from the same point and improves nothing either.
     for _ in range(refine_sweeps):
         improved = False
         for d in range(dims):
-            def along(x, d=d):
-                m = x.shape[0]
-                if m not in buffers:
-                    buffers[m] = np.empty((m, S, dims)), np.empty((m, S, K, N))
-                q, tx = buffers[m]
-                np.copyto(q, p)
-                q[..., d] = x
-                return value(_params_to_tx(q, budgets, moments, tx))
+            k = d // N
+
+            def along(x, d=d, k=k):
+                q = [x if j == d else p[:, j] for j in range(N * k, N * k + N)]
+                return model.value(fixed[:k] + [model.terms(k, *q)] + fixed[k + 1:])
             x, vx = _golden_section(along, S)
             better = vx < v - 1e-15 * np.maximum(1.0, np.abs(v))
             p[better, d] = x[better]
             v = np.where(better, vx, v)
+            fixed[k] = model.terms(k, *p[:, N * k:N * k + N].T)
             improved = improved or bool(better.any())
         if not improved:
             break
@@ -901,7 +931,7 @@ def brute_force_oracle(inst, objective: str, grid_resolution: int = 9,
     for s in range(1, S):
         if v[s] < v[best]:
             best = s
-    tx = _params_to_tx(p[best], budgets, moments, np.empty((K, N)))
+    tx = np.stack([model.tx(k, *p[best, N * k:N * k + N]) for k in range(K)])
     rx = rx_mse_optimal(inst, tx)
     design = _make_design(inst, tx, rx)
     obj = -v[best] if objective == "md" else v[best]

@@ -1,5 +1,9 @@
 """Tests for the Monte Carlo experiment runner."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -347,6 +351,16 @@ class TestSweep:
         assert a.mse_mean == b.mse_mean
         assert a.md_mean == b.md_mean
         np.testing.assert_array_equal(a.confusion, b.confusion)
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # Only a sweep with workers > 1 imports the process pool.
+        code = ("import sys, iseasim; "
+                "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("env", ["0", "-4", "x", "2.7"])
     def test_bad_workers_env_names_the_variable(self, monkeypatch, env):

@@ -36,7 +36,7 @@ from iseasim.solvers import (
     tdm_mse_optimal,
 )
 from iseasim.solvers import (_bisect_fixed, _dual_rows, _DualCore, _fdm_batch,
-                             _golden_section, _grid_starts)
+                             _golden_section, _grid_starts, _PerDevice)
 from iseasim.validation import ValidationError
 
 
@@ -1182,6 +1182,16 @@ class TestOracleMatchesLoopReference:
         for objective in ("mse", "md"):
             self.assert_same(inst, objective, 5)
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_tdm_instances_without_noise(self, K):
+        # At noise 0 the grid points where every device is off have a zero
+        # denominator, which the receive rule's guard maps to 0: no 0 / 0
+        # may be taken there.
+        inst = replace(random_tdm_instance(np.random.default_rng(50 + K), K), noise_var=0.0)
+        for objective in ("mse", "md"):
+            with np.errstate(divide="raise", invalid="raise"):
+                self.assert_same(inst, objective, 17)
+
     @pytest.mark.parametrize("grid", [1, 2, 3])
     def test_grids_with_fewer_points_per_slice_than_starts(self, grid):
         rng = np.random.default_rng(32)
@@ -1196,8 +1206,7 @@ class TestOracleMatchesLoopReference:
         for objective in ("mse", "md"):
             ref = _oracle_loop_reference(inst, objective, 9, refine_sweeps=0)
             assert np.unique(ref.smallest).size < ref.smallest.size
-            value, budgets, moments = _oracle_value(inst, objective)
-            np.testing.assert_array_equal(_grid_starts(value, 9, budgets, moments),
+            np.testing.assert_array_equal(_grid_starts(_PerDevice(inst, objective), 9)[0],
                                           ref.starts)
 
 
@@ -1276,9 +1285,10 @@ class TestGoldenSection:
         assert x.shape == fx.shape == (size,)
         assert x.tobytes() == ref_x.tobytes()
         assert fx.tobytes() == ref_fx.tobytes()
-        # One call for the two inner points, one per _LOOKAHEAD steps and
-        # one for the midpoint.
-        assert len(calls) == 2 + -(-iters // solvers._LOOKAHEAD)
+        # One call for the two inner points and the first _LOOKAHEAD steps,
+        # one per _LOOKAHEAD steps after those and one for the midpoint.
+        lookahead = solvers._LOOKAHEAD
+        assert len(calls) == 2 + -(-max(iters - lookahead, 0) // lookahead)
         assert all(shape[1:] == (size,) for shape in calls)
 
 
@@ -1324,6 +1334,18 @@ class TestBruteForceOracle:
         b = brute_force_oracle(inst, "mse")
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.design.tx, b.design.tx)
+
+    @pytest.mark.parametrize("K, N", [(3, 2), (6, 1)])
+    def test_peak_memory_stays_at_one_grid_slice(self, K, N):
+        inst = random_fdm_instance(np.random.default_rng(19), K, N)
+        brute_force_oracle(inst, "mse")  # first-call allocations
+        tracemalloc.start()
+        try:
+            brute_force_oracle(inst, "mse")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
     def test_dimension_limit(self):
         rng = np.random.default_rng(17)
