@@ -1,4 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: reads a subcommand's JSON config, checks it,
+calls the library and writes the result.  Every draw, solve and formula
+lives in the library.  The compare subcommands run `pipeline.compare` on
+the sweep's trial stream, so they honour `workers`, ISEASIM_WORKERS and
+the KKT gate (`solver_opts.kkt_tol`) as a sweep does.
 
 Subcommands (all read a JSON config and write deterministic CSVs):
 
@@ -21,11 +25,7 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import entropy, pipeline, solvers
-from .channel import md_received, mse_at_rx
-from .streams import spawned_generators
 from .validation import (
     NonConvergenceError,
     ValidationError,
@@ -34,7 +34,6 @@ from .validation import (
     check_reals,
 )
 
-_DOM_COMPARE = 5
 _EXPERIMENT_KEYS = frozenset(f.name for f in fields(pipeline.ExperimentConfig))
 
 
@@ -100,75 +99,35 @@ def _cmd_entropy_report(args) -> int:
     rows = []
     for idx, sv in enumerate(check_list(data["sensing_var_sets"], "sensing_var_sets")):
         sv = check_reals(sv, "sensing_var_sets", 0, strict=True)
-        rep = entropy.entropy_report(prior_var, sv)
+        rep = entropy.entropy_report(prior_var, sv, f"sensing_var_sets entry {idx}")
         rows.append([idx, " ".join(pipeline.fmt(v) for v in sv),
                      pipeline.fmt(rep.h_ml), pipeline.fmt(rep.h_mmse)])
     pipeline.write_csv(args.output, ["index", "sensing_vars", "h_ml", "h_mmse"], rows)
     return 0
 
 
-def _rayleigh_draws(config, v_idx, size) -> np.ndarray:
-    """(trials, *size) unit-scale Rayleigh gains for comm-SNR point v_idx,
-    trial i drawn from the SeedSequence(seed, spawn_key=(_DOM_COMPARE,
-    v_idx, i)) stream."""
-    keys = np.zeros((config.trials, 3), dtype=np.int64)
-    keys[:, :2] = _DOM_COMPARE, v_idx
-    keys[:, 2] = np.arange(config.trials)
-    return np.stack([rng.rayleigh(scale=np.sqrt(0.5), size=size)
-                     for rng in spawned_generators(config.seed, keys)])
+# compare subcommand -> (scheme, (CSV tag, solver) of each design): the two
+# TDM designs per slot, or the two FDM designs plus the baselines.
+_COMPARE = {
+    "tdm-compare": ("tdm", (("comp", "tdm_mse"), ("dec", "tdm_md"))),
+    "fdm-compare": ("fdm", (("comp", "fdm_mse"), ("dec", "fdm_md"),
+                            ("equal", "equal"), ("inv", "channel_inversion"))),
+}
 
 
-def _compare(args, scheme, columns, statistics) -> int:
-    """Mean MSE and MD of each (tag, solver) design in `columns` over
-    seeded channel draws per communication SNR, for a config of the given
-    `scheme`.  `statistics(ctx)` gives the (moments, est_vars, delta) the
-    designs are solved and evaluated on; its moments' shape sets the
-    per-trial draw."""
+def _cmd_compare(args) -> int:
+    """`pipeline.compare`'s mean MSE and MD of each design per comm SNR."""
+    scheme, columns = _COMPARE[args.command]
     config = _experiment_config(_load_config(args.config, _EXPERIMENT_KEYS), args.seed)
     if config.scheme != scheme:
         raise ValidationError(
             f"{args.command} needs scheme {scheme!r}, got {config.scheme!r}")
-    header = ["comm_snr_db"]
-    for tag, _ in columns:
-        header += [f"mse_{tag}", f"md_{tag}"]
-    # Calibration does not depend on the comm SNR: every point shares the
-    # context of value index 0 and takes its own budgets.
-    ctx = pipeline.build_context(config, "comm_snr", 0.0, 0)
-    moments, est_vars, delta = statistics(ctx)
-    rows = []
-    for v_idx, snr_db in enumerate(config.comm_snr_db):
-        budgets = pipeline.power_budgets(config, snr_db)
-        gains = _rayleigh_draws(config, v_idx, moments.shape)
-        row = [pipeline.fmt(snr_db)]
-        for _, name in columns:
-            tx, rx, _ = solvers.solve_batch(name, gains, budgets, moments,
-                                            est_vars, ctx.noise_var, delta)
-            mse = mse_at_rx(gains, tx, rx, est_vars, ctx.noise_var)
-            md = np.sum(md_received(gains, tx, est_vars, ctx.noise_var, delta), axis=1)
-            row += [pipeline.fmt(mse.mean()), pipeline.fmt(md.mean())]
-        rows.append(row)
-    pipeline.write_csv(args.output, header, rows)
+    header = ["comm_snr_db"] + [f"{stat}_{tag}" for tag, _ in columns for stat in ("mse", "md")]
+    means = pipeline.compare(config, [name for _, name in columns])
+    pipeline.write_csv(args.output, header, [
+        [pipeline.fmt(v) for v in (snr_db, *row)]
+        for snr_db, row in zip(config.comm_snr_db, means)])
     return 0
-
-
-def _cmd_tdm_compare(args) -> int:
-    """Per-slot MSE and MD of the two TDM solvers.  Estimate variances
-    are pooled across devices and dimensions (the MD closed form requires
-    device homogeneity)."""
-
-    def slot(ctx):
-        return (ctx.nu2.mean(axis=1, keepdims=True),
-                np.full((ctx.nu2.shape[0], 1), ctx.sigma_hat.mean()),
-                np.array([ctx.delta.mean()]))
-
-    return _compare(args, "tdm", (("comp", "tdm_mse"), ("dec", "tdm_md")), slot)
-
-
-def _cmd_fdm_compare(args) -> int:
-    """MSE and MD of the two FDM designs plus the baselines."""
-    return _compare(args, "fdm", (("comp", "fdm_mse"), ("dec", "fdm_md"),
-                                  ("equal", "equal"), ("inv", "channel_inversion")),
-                    lambda ctx: (ctx.nu2, ctx.sigma_hat, ctx.delta))
 
 
 def _cmd_accuracy_sweep(args) -> int:
@@ -201,8 +160,8 @@ def build_parser() -> _Parser:
     specs = [
         ("estimator-sweep", _cmd_estimator_sweep, True),
         ("entropy-report", _cmd_entropy_report, True),
-        ("tdm-compare", _cmd_tdm_compare, True),
-        ("fdm-compare", _cmd_fdm_compare, True),
+        ("tdm-compare", _cmd_compare, True),
+        ("fdm-compare", _cmd_compare, True),
         ("accuracy-sweep", _cmd_accuracy_sweep, True),
         ("validate-solvers", _cmd_validate_solvers, False),
     ]

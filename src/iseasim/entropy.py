@@ -60,10 +60,14 @@ def cond_entropy_mmse(prior_var, sensing_vars) -> float:
     return float(0.5 * np.log(2.0 * np.pi * np.e / precision))
 
 
-def entropy_report(prior_var, sensing_vars) -> EntropyReport:
+def entropy_report(prior_var, sensing_vars, name="sensing_vars") -> EntropyReport:
+    """Both entropies; a ValidationError naming prior_var and the profile
+    (`name`) when either is not finite, as when 1/prior_var overflows."""
     sv = _check_vars(prior_var, sensing_vars)
-    return EntropyReport(
-        h_ml=cond_entropy_ml(prior_var, sv),
-        h_mmse=cond_entropy_mmse(prior_var, sv),
-        shrinkage=prior_var / (prior_var + sv),
-    )
+    with np.errstate(all="ignore"):
+        h_ml, h_mmse = cond_entropy_ml(prior_var, sv), cond_entropy_mmse(prior_var, sv)
+    if not (np.isfinite(h_ml) and np.isfinite(h_mmse)):
+        raise ValidationError(
+            f"prior_var {prior_var!r} and {name} {sv.tolist()} give non-finite "
+            f"entropies: h_ml {h_ml!r}, h_mmse {h_mmse!r}")
+    return EntropyReport(h_ml=h_ml, h_mmse=h_mmse, shrinkage=prior_var / (prior_var + sv))

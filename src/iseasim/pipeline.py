@@ -7,6 +7,8 @@ decode, classify.  A sweep builds the context of every swept value
 first, then runs the (value, trial) pairs as one stream of chunks that may
 cross values -- serially or on one process pool for the whole sweep --
 and reduces each value's trials into a MetricsRecord row for CSV export.
+`compare` (fdm-compare, tdm-compare) runs its per-trial channel draws and
+designs on the same stream, under the same KKT gate.
 
 Determinism: every random quantity flows from the root seed through
 numpy SeedSequence spawn keys of the form (domain, value_index,
@@ -24,6 +26,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -56,6 +59,7 @@ WORKERS_ENV = "ISEASIM_WORKERS"
 _DOM_SENSING = 1
 _DOM_TRIAL = 2
 _DOM_CALIBRATION = 3
+_DOM_COMPARE = 5
 
 # Guard so estimate variances entering a solver stay positive.
 _EST_VAR_FLOOR = 1e-12
@@ -393,6 +397,13 @@ def build_context(config: ExperimentConfig, variable: str, value,
     )
 
 
+def _pooled_slot(ctx: TrialContext) -> tuple:
+    """tdm-compare's slot for both TDM designs: est_vars pooled over the
+    devices and dimensions at once."""
+    return (ctx.nu2.mean(axis=1, keepdims=True),
+            np.full((ctx.nu2.shape[0], 1), ctx.sigma_hat.mean()), np.array([ctx.delta.mean()]))
+
+
 # ---------------------------------------------------------------------------
 # batched trial execution
 # ---------------------------------------------------------------------------
@@ -454,20 +465,36 @@ def _estimate_all(ctx: TrialContext, labels, X_tilde):
     return X_hat
 
 
+def _solve_rows(name, ctxs, gains) -> list:
+    """One (tx, rx, kkt) per context of one `solve_batch(name, ...)` call
+    on the trials `gains[i]` (T_i, K, M) of each `ctxs[i]`, each row with
+    its context's budgets, noise and design statistics (whose S columns
+    broadcast over the M features)."""
+    sizes = [g.shape[0] for g in gains]
+
+    def rows(values):  # each context's value, once per trial
+        return np.repeat(np.asarray(values, dtype=np.float64), sizes, axis=0)
+
+    stats = [ctx.design_stats for ctx in ctxs]
+    t, r, k = solvers.solve_batch(
+        name, np.concatenate(gains), rows([ctx.budgets for ctx in ctxs]),
+        rows([s[0] for s in stats]), rows([s[1] for s in stats]),
+        rows([ctx.noise_var for ctx in ctxs]), rows([s[2] for s in stats]))
+    bounds = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(t, bounds), np.split(r, bounds), np.split(k, bounds)))
+
+
 def _solve_designs(ctxs, gains):
     """Designs for the trials of one chunk: `gains[i]` (T_i, K, M) holds
-    the used channel gains of the trials of context `ctxs[i]`, whose
-    design statistics' S columns (M, or one TDM slot) are broadcast over
-    the M features.  The trials of every context that shares a solver and
-    a (K, M) shape are solved by one `solve_batch` call, each row with its
-    own context's budgets, moments, est_vars, noise and delta.  The TDM
-    closed forms run per trial through `tdm_*_optimal` (`solve_batch` at
-    B=1), whose calls the perfbench trace counts per trial.
+    the used channel gains of the trials of context `ctxs[i]`.  The trials
+    of every context that shares a solver and a (K, M) shape are solved by
+    one `_solve_rows` call.  The TDM closed forms run per trial through
+    `tdm_*_optimal` (`solve_batch` at B=1), whose calls the perfbench
+    trace counts per trial.
 
     Returns (tx, rx, kkt): one tx (T_i, K, M) and rx (T_i, M) per context
-    and kkt flat over the chunk, in context order.  Per-trial results are
-    bit-identical however trials are chunked, because `solve_batch` is.
-    """
+    and kkt flat over the chunk, in context order.  Per-trial results do
+    not depend on the chunking, because `solve_batch`'s do not."""
     tx, rx, kkt = [None] * len(ctxs), [None] * len(ctxs), [None] * len(ctxs)
     groups = {}
     for i, (ctx, g) in enumerate(zip(ctxs, gains)):
@@ -485,23 +512,17 @@ def _solve_designs(ctxs, gains):
             t[j], r[j], k[j] = report.design.tx, report.design.rx, report.kkt_residual
         tx[i], rx[i], kkt[i] = np.broadcast_to(t, (T, K, M)), np.broadcast_to(r, (T, M)), k
     for (name, _), members in groups.items():
-        sizes = [gains[i].shape[0] for i in members]
-
-        def rows(values):
-            """One row per trial: each member's value repeated T_i times."""
-            return np.repeat(np.asarray(values, dtype=np.float64), sizes, axis=0)
-
-        stats = [ctxs[i].design_stats for i in members]
-        t, r, k = solvers.solve_batch(
-            name, np.concatenate([gains[i] for i in members]),
-            rows([ctxs[i].budgets for i in members]),
-            rows([s[0] for s in stats]), rows([s[1] for s in stats]),
-            rows([ctxs[i].noise_var for i in members]), rows([s[2] for s in stats]))
-        bounds = np.cumsum(sizes)[:-1]
-        for i, ti, ri, ki in zip(members, np.split(t, bounds), np.split(r, bounds),
-                                 np.split(k, bounds)):
-            tx[i], rx[i], kkt[i] = ti, ri, ki
+        solved = _solve_rows(name, [ctxs[i] for i in members], [gains[i] for i in members])
+        for i, (t, r, k) in zip(members, solved):
+            tx[i], rx[i], kkt[i] = t, r, k
     return tx, rx, np.concatenate(kkt)
+
+
+def _scores(gains, tx, rx, est_vars, noise_var, delta):
+    """Per-trial analytic MSE at the receive coefficients, and received
+    MD summed over subcarriers, of the designs (tx, rx) on `gains`."""
+    return (mse_at_rx(gains, tx, rx, est_vars, noise_var),
+            np.sum(md_received(gains, tx, est_vars, noise_var, delta), axis=1))
 
 
 def _decode(ctx: TrialContext, y_hat, rx, hb):
@@ -555,9 +576,7 @@ def run_trials_batch(segments) -> list:
         ideal_preds = map_classify_batch(prior, X_hat.mean(axis=1))
         clean_preds = map_classify_batch(prior, X)
 
-        mse = mse_at_rx(gains_used, tx, rx, ctx.sigma_hat, ctx.noise_var)
-        md = np.sum(md_received(gains_used, tx, ctx.sigma_hat, ctx.noise_var, ctx.delta),
-                    axis=1)
+        mse, md = _scores(gains_used, tx, rx, ctx.sigma_hat, ctx.noise_var, ctx.delta)
         outs.append({
             "labels": labels, "preds": preds, "mse": mse, "md": md,
             "converged": kkt <= ctx.kkt_tol, "ideal_preds": ideal_preds,
@@ -617,15 +636,22 @@ def _chunks(points: int, trials: int, workers: int) -> list:
     return chunks
 
 
-def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> MetricsRecord:
-    converged = out["converged"]
+def _gate(converged, variable, value, solver) -> int:
+    """The number of trials that miss the KKT gate, or a
+    NonConvergenceError when more than EXCLUSION_LIMIT of them do."""
     n_total = converged.size
     n_excluded = int(n_total - np.count_nonzero(converged))
     if n_excluded > EXCLUSION_LIMIT * n_total:
         raise NonConvergenceError(
             f"{variable}={value}: {n_excluded}/{n_total} trials of solver "
-            f"{config.solver!r} failed to converge (limit {EXCLUSION_LIMIT:.0%})"
+            f"{solver!r} failed to converge (limit {EXCLUSION_LIMIT:.0%})"
         )
+    return n_excluded
+
+
+def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> MetricsRecord:
+    converged = out["converged"]
+    n_excluded = _gate(converged, variable, value, config.solver)
     labels = out["labels"][converged]
     preds = out["preds"][converged]
     confusion = np.zeros((config.num_classes, config.num_classes), dtype=np.int64)
@@ -650,11 +676,33 @@ def _reduce(config: ExperimentConfig, variable: str, value, out: dict) -> Metric
     )
 
 
+def _stream(config: ExperimentConfig, ctxs, kernel) -> list:
+    """`config.trials` trials of each of `ctxs`, run as one stream of
+    chunks (`_chunks`), in turn or on one process pool, by `kernel`: one
+    dict of per-trial arrays per context, joined in trial order."""
+    workers = _resolve_workers(config)
+    chunks = _chunks(len(ctxs), config.trials, workers)
+    batches = [[(ctxs[p], range(lo, hi)) for p, lo, hi in chunk] for chunk in chunks]
+    if workers <= 1:
+        results = map(kernel, batches)
+    else:
+        # Imported here: a serial run does not pay for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(kernel, batches))
+    parts = [[] for _ in ctxs]
+    for chunk, outs in zip(chunks, results):
+        for (p, _, _), out in zip(chunk, outs):
+            parts[p].append(out)
+    return [{key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
+            for outs in parts]
+
+
 def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
     """One MetricsRecord per swept value.  Every point's context is built
-    first; the trials of all points then run as one stream of chunks
-    (`_chunks`), serially or on one process pool, and each point's
-    per-trial outputs are reduced in trial order."""
+    first; the trials of all points then run through `run_trials_batch`
+    on one stream (`_stream`), and each point's per-trial outputs are
+    reduced in trial order."""
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(
             f"unknown sweep_variable {variable!r}; expected one of {SWEEP_VARIABLES}")
@@ -664,27 +712,59 @@ def sweep(config: ExperimentConfig, variable: str, values=None) -> list:
         values = config.comm_snr_db
     check = check_count if variable == "K" else check_db
     values = [check(value, "sweep_values") for value in check_list(values, "sweep_values")]
-    workers = _resolve_workers(config)
     ctxs = [build_context(config, variable, value, v_idx)
             for v_idx, value in enumerate(values)]
-    chunks = _chunks(len(ctxs), config.trials, workers)
-    batches = [[(ctxs[p], range(lo, hi)) for p, lo, hi in chunk] for chunk in chunks]
-    if workers <= 1:
-        results = map(run_trials_batch, batches)
-    else:
-        # Imported here: a serial run does not pay for loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trials_batch, batches))
-    parts = [[] for _ in ctxs]
-    for chunk, outs in zip(chunks, results):
-        for (p, _, _), out in zip(chunk, outs):
-            parts[p].append(out)
-    records = []
-    for value, outs in zip(values, parts):
-        out = {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
-        records.append(_reduce(config, variable, value, out))
-    return records
+    return [_reduce(config, variable, value, out)
+            for value, out in zip(values, _stream(config, ctxs, run_trials_batch))]
+
+
+def _compare_draws(seed, value_index, trial_indices, size) -> np.ndarray:
+    """(T, *size) unit-scale Rayleigh gains of the given trials of
+    comm-SNR point `value_index`, trial i drawn from the
+    SeedSequence(seed, spawn_key=(_DOM_COMPARE, value_index, i)) stream."""
+    keys = np.zeros((len(trial_indices), 3), dtype=np.int64)
+    keys[:, :2] = _DOM_COMPARE, value_index
+    keys[:, 2] = trial_indices
+    return np.stack([rng.rayleigh(scale=np.sqrt(0.5), size=size)
+                     for rng in spawned_generators(seed, keys)])
+
+
+def _compare_batch(names, segments) -> list:
+    """One chunk of a compare run: per segment, the (name, "mse"), (name,
+    "md") and (name, "converged") of each design in `names`, solved for
+    the whole chunk by one `_solve_rows` call."""
+    ctxs = [ctx for ctx, _ in segments]
+    gains = [_compare_draws(ctx.seed, ctx.value_index, trials, ctx.design_stats[0].shape)
+             for ctx, trials in segments]
+    outs = [{} for _ in segments]
+    for name in names:
+        for out, ctx, g, (tx, rx, kkt) in zip(outs, ctxs, gains, _solve_rows(name, ctxs, gains)):
+            _, est_vars, delta = ctx.design_stats
+            out[name, "mse"], out[name, "md"] = _scores(g, tx, rx, est_vars, ctx.noise_var, delta)
+            out[name, "converged"] = kkt <= ctx.kkt_tol
+    return outs
+
+
+def compare(config: ExperimentConfig, names) -> list:
+    """One row [mse, md, mse, md, ...] per comm_snr_db point: each design
+    in `names`'s means over the trials inside its KKT gate.  Every point
+    shares the calibration of value index 0 (it does not depend on the
+    comm SNR), and the trials run on the sweep's stream."""
+    ctx = build_context(config, "comm_snr", 0.0, 0)
+    if config.scheme == "tdm":
+        ctx = replace(ctx, design_stats=_pooled_slot(ctx))
+    ctxs = [replace(ctx, budgets=power_budgets(config, snr_db), value_index=v_idx)
+            for v_idx, snr_db in enumerate(config.comm_snr_db)]
+    rows = []
+    for snr_db, out in zip(config.comm_snr_db,
+                           _stream(config, ctxs, partial(_compare_batch, tuple(names)))):
+        rows.append([])
+        for name in names:
+            keep = out[name, "converged"]
+            _gate(keep, "comm_snr", snr_db, name)
+            rows[-1] += [math.fsum(out[name, stat][keep]) / np.count_nonzero(keep)
+                         for stat in ("mse", "md")]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from iseasim import cli, pipeline
+from iseasim import pipeline
 from iseasim.cli import main
 from iseasim.validation import ValidationError
 
@@ -210,6 +210,19 @@ class TestEntropyReport:
         assert lines[0] == "index,sensing_vars,h_ml,h_mmse"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("data, names", [
+        ({"sensing_var_sets": [[1.0], [1e308, 1e308]]}, ["sensing_var_sets entry 1"]),
+        ({"prior_var": 1e-320, "sensing_var_sets": [[1.0, 1.0]]},
+         ["prior_var 1e-320", "sensing_var_sets entry 0"]),
+    ])
+    def test_non_finite_entropy_is_validation_error(self, tmp_path, capsys, data, names):
+        cfg = write_config(tmp_path, "ent.json", data)
+        out = tmp_path / "o.csv"
+        assert main(["entropy-report", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names) and "non-finite" in err
+        assert not out.exists()
+
     def test_requires_var_sets(self, tmp_path):
         cfg = write_config(tmp_path, "ent.json", {"prior_var": 1.0})
         assert main(["entropy-report", "--config", cfg,
@@ -270,16 +283,34 @@ class TestCompareCommands:
                      "--output", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 1
 
+    def test_negative_gate_exits_3_naming_solver_and_point(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "fdm.json",
+                           {"trials": 5, "comm_snr_db": [10.0, 20.0],
+                            "calibration_samples": 500, "solver_opts": {"kkt_tol": -1.0}})
+        assert main(["fdm-compare", "--config", cfg,
+                     "--output", str(tmp_path / "f.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "'fdm_mse'" in err and "comm_snr=10.0" in err
+
+    @pytest.mark.parametrize("command, scheme", [("fdm-compare", "fdm"), ("tdm-compare", "tdm")])
+    def test_reads_the_workers_env(self, tmp_path, capsys, monkeypatch, command, scheme):
+        cfg = write_config(tmp_path, "cmp.json",
+                           {"trials": 3, "comm_snr_db": [10.0], "scheme": scheme,
+                            "calibration_samples": 200})
+        monkeypatch.setenv(pipeline.WORKERS_ENV, "x")
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 2
+        assert pipeline.WORKERS_ENV in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 7])
 @pytest.mark.parametrize("v_idx, size", [(0, (3, 4)), (3, (2, 1))])
 def test_rayleigh_draws_match_spawned_streams(seed, v_idx, size):
-    config = pipeline.ExperimentConfig(trials=40, seed=seed)
     want = np.stack([
         np.random.default_rng(np.random.SeedSequence(
-            seed, spawn_key=(cli._DOM_COMPARE, v_idx, i))).rayleigh(scale=np.sqrt(0.5), size=size)
+            seed, spawn_key=(pipeline._DOM_COMPARE, v_idx, i))).rayleigh(scale=np.sqrt(0.5),
+                                                                         size=size)
         for i in range(40)])
-    got = cli._rayleigh_draws(config, v_idx, size)
+    got = pipeline._compare_draws(seed, v_idx, range(40), size)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
 

@@ -22,6 +22,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from iseasim import pipeline
 from iseasim.cli import main
 
 GOLDEN_NUMPY = "2.4.6"
@@ -131,13 +132,16 @@ def test_output_bytes_are_pinned(case, tmp_path):
     assert case_hashes(case, tmp_path) == GOLDEN[case]
 
 
-def test_parallel_fdm_sweep_writes_the_serial_pin(tmp_path):
-    # Two workers split the sweep into chunks that cross sweep points; the
-    # bytes must still be the serial run's.
+@pytest.mark.parametrize("case", ["accuracy-fdm", "fdm-compare", "fdm-compare-long-seed",
+                                  "tdm-compare"])
+def test_parallel_fdm_sweep_writes_the_serial_pin(case, tmp_path, monkeypatch):
+    # Two workers and chunks of 7 trials split the run into chunks that
+    # cross sweep points; the bytes must still be the serial run's.
     if np.__version__ != GOLDEN_NUMPY:
         pytest.skip(f"golden bytes were made with numpy {GOLDEN_NUMPY}; "
                     f"this is numpy {np.__version__}")
-    assert case_hashes("accuracy-fdm", tmp_path, workers=2) == GOLDEN["accuracy-fdm"]
+    monkeypatch.setattr(pipeline, "CHUNK_TRIALS", 7)
+    assert case_hashes(case, tmp_path, workers=2) == GOLDEN[case]
 
 
 if __name__ == "__main__":

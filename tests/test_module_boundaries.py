@@ -86,6 +86,35 @@ def test_package_modules_read_no_foreign_private_names():
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
+def imported_modules(source):
+    """The last dotted part of every module that `source` imports, and
+    every name it imports from a package (`from . import x` gives x)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                found.add(node.module.split(".")[-1])
+            if node.module in (None, PACKAGE):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_cli_runs_no_draw_or_formula_of_its_own():
+    # The front end reads configs and writes CSVs; draws, solves and
+    # formulas stay in the pipeline, so it must not grow its own loop.
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert imported_modules(source) & {"channel", "streams", "numpy"} == set()
+
+
+def test_import_detector():
+    source = ("import numpy as np\nfrom .channel import mse_at_rx\n"
+              "from . import streams\nimport iseasim.prior\nfrom iseasim import solvers\n")
+    assert imported_modules(source) == {"numpy", "channel", "streams", "prior", "iseasim",
+                                        "solvers"}
+
+
 def test_detector_catches_imports_and_attribute_reads():
     source = (
         "from . import pipeline, solvers\n"

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment runner."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -523,6 +524,49 @@ class TestChunkedStream:
 
         peak(chunk)  # first-call allocations (caches, lazy imports) out of the way
         assert peak(8 * chunk) <= 1.25 * peak(chunk)
+
+
+_FDM_DESIGNS = ("fdm_mse", "fdm_md", "equal", "channel_inversion")
+
+
+class TestCompare:
+    def test_a_design_over_the_gate_leaves_its_mean(self):
+        # Put the gate between the two largest KKT residuals of 200 fdm_md
+        # designs: the worst one (0.5% of the trials) leaves both means.
+        cfg = tiny_config(trials=200, comm_snr_db=(-20.0,), calibration_samples=500)
+        ctx = pipeline.build_context(cfg, "comm_snr", -20.0, 0)
+        gains = pipeline._compare_draws(cfg.seed, 0, range(200), ctx.nu2.shape)
+        (tx, rx, kkt), = pipeline._solve_rows("fdm_md", [ctx], [gains])
+        mse, md = pipeline._scores(gains, tx, rx, ctx.sigma_hat, ctx.noise_var, ctx.delta)
+        second, worst = np.sort(kkt)[-2:]
+        assert 0 < second < worst
+        keep = kkt < worst
+        gated = pipeline.compare(replace(cfg, solver_opts={"kkt_tol": np.sqrt(second * worst)}),
+                                 ["fdm_md"])
+        assert gated == [[math.fsum(mse[keep]) / 199, math.fsum(md[keep]) / 199]]
+        ungated = pipeline.compare(replace(cfg, solver_opts={"kkt_tol": worst}), ["fdm_md"])
+        assert ungated == [[math.fsum(mse) / 200, math.fsum(md) / 200]]
+        assert gated != ungated
+
+    def test_negative_gate_fails_the_first_design(self):
+        cfg = tiny_config(trials=5, comm_snr_db=(0.0, 10.0), calibration_samples=500,
+                          solver_opts={"kkt_tol": -1.0})
+        with pytest.raises(NonConvergenceError, match=r"comm_snr=0.0: 5/5 .* 'fdm_mse'"):
+            pipeline.compare(cfg, _FDM_DESIGNS)
+
+    def test_memory_stays_flat_as_trials_grow(self):
+        # Only the per-trial outputs (17 bytes a design) may grow with the
+        # trial count; a point's trials are never held at once.
+        def peak(trials):
+            cfg = tiny_config(trials=trials, calibration_samples=200)
+            tracemalloc.start()
+            try:
+                pipeline.compare(cfg, _FDM_DESIGNS)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(8192) - peak(2048)) / 6144 < 200
 
 
 class TestExport:
