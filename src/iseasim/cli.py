@@ -29,7 +29,6 @@ from . import entropy, pipeline, solvers
 from .validation import (
     NonConvergenceError,
     ValidationError,
-    check_count,
     check_list,
     check_reals,
 )
@@ -74,19 +73,11 @@ def _experiment_config(data: dict, seed_override=None) -> pipeline.ExperimentCon
 # ---------------------------------------------------------------------------
 
 def _cmd_estimator_sweep(args) -> int:
-    data = _load_config(args.config, {"trials", "seed", "num_devices", "sensing_snr_grid_db",
-                                      "num_classes", "feature_dim", "min_md_target",
-                                      "prior_seed"})
+    data = _load_config(args.config, {"trials", "seed", "num_devices", "sensing_snr_grid_db"})
     seed = args.seed if args.seed is not None else data.get("seed", 0)
-    prior = pipeline.default_prior(
-        check_count(data.get("num_classes", 5), "num_classes"),
-        check_count(data.get("feature_dim", 4), "feature_dim"),
-        data.get("min_md_target", 4.0),
-        check_count(data.get("prior_seed", 1234), "prior_seed", 0),
-    )
     grid = data.get("sensing_snr_grid_db", [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
-    records = pipeline.estimator_sweep(
-        prior, data.get("num_devices", 3), grid, data.get("trials", 20000), seed)
+    records = pipeline.estimator_sweep(pipeline.default_prior(), data.get("num_devices", 3),
+                                       grid, data.get("trials", 20000), seed)
     pipeline.export_estimator_sweep(records, args.output)
     return 0
 

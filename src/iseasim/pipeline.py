@@ -37,6 +37,7 @@ from .estimators import ESTIMATOR_TAGS, estimate_batch, observe_batch
 from .prior import (
     GaussianMixturePrior,
     discriminative_prior,
+    labelled_features,
     map_classify_batch,
     map_classify_masked,
     min_md,
@@ -50,7 +51,6 @@ from .validation import (
     check_db,
     check_list,
     check_real,
-    check_reals,
 )
 
 WORKERS_ENV = "ISEASIM_WORKERS"
@@ -68,6 +68,12 @@ SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K")
 # ExperimentConfig fields that count something and must be integers >= 1.
 _COUNT_FIELDS = ("num_classes", "feature_dim", "num_devices", "num_subcarriers",
                  "trials", "calibration_samples")
+# The reference prior (`default_prior`): the seed of its mean layout and
+# the minimum Mahalanobis distance between its class means.
+PRIOR_SEED = 1234
+MIN_MD_TARGET = 4.0
+# Per-device sensing SNRs are drawn within this factor of each other.
+SENSING_SPREAD = 2.0
 # Gated decode erases an element whose post-decode noise variance exceeds
 # this many mean prior variances.
 ERASURE_FACTOR = 9.0
@@ -101,7 +107,11 @@ KKT_GATE = 1e-4
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment description; defaults mirror the reference setting
-    (five classes, four features, three devices, noise power 0.1)."""
+    (five classes, four features, three devices, noise power 0.1).  The
+    prior is `default_prior(num_classes, feature_dim)`, and each device's
+    sensing variance is drawn (`target_sensing_vars`) to hit the average
+    sensing SNR `sensing_snr_db`.  noise_var must have a finite square
+    > 0, as the solvers square it."""
 
     num_classes: int = 5
     feature_dim: int = 4
@@ -115,9 +125,6 @@ class ExperimentConfig:
     noise_var: float = 0.1
     comm_snr_db: tuple = (-20.0, -10.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
     sensing_snr_db: float = 10.0
-    sensing_vars: tuple = None
-    prior_seed: int = 1234
-    min_md_target: float = 4.0
     calibration_samples: int = 10000
     workers: int = None
     solver_opts: dict = field(default_factory=dict)
@@ -125,14 +132,16 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in _COUNT_FIELDS:
             check_count(getattr(self, name), name)
-        for name in ("seed", "prior_seed"):
-            check_count(getattr(self, name), name, 0)
+        check_count(self.seed, "seed", 0)
         if self.workers is not None:
             check_count(self.workers, "workers")
         object.__setattr__(self, "comm_snr_db", tuple(
             check_db(v, "comm_snr_db") for v in check_list(self.comm_snr_db, "comm_snr_db")))
-        check_real(self.noise_var, "noise_var", 0, strict=True)
-        check_real(self.min_md_target, "min_md_target", 0, strict=True)
+        noise_var = check_real(self.noise_var, "noise_var", 0, strict=True)
+        if not 0.0 < noise_var * noise_var < math.inf:
+            raise ValidationError(
+                "noise_var must have a finite square > 0 (about 1.6e-162 to 1.3e154), "
+                f"got {noise_var!r}")
         check_db(self.sensing_snr_db, "sensing_snr_db")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
@@ -159,12 +168,6 @@ class ExperimentConfig:
             )
         # A negative gate is valid: it marks every trial as not converged.
         check_real(self.solver_opts.get("kkt_tol", KKT_GATE), "solver_opts kkt_tol")
-        if self.sensing_vars is not None:
-            sv = check_reals(self.sensing_vars, "sensing_vars", 0)
-            if len(sv) != self.num_devices:
-                raise ValidationError(
-                    f"sensing_vars must list one value per device, got {list(sv)}")
-            object.__setattr__(self, "sensing_vars", sv)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -196,21 +199,20 @@ class MetricsRecord:
     clean_acc_mean: float = float("nan")
 
 
-def default_prior(num_classes: int = 5, feature_dim: int = 4,
-                  min_md_target: float = 4.0, seed: int = 1234) -> GaussianMixturePrior:
+def default_prior(num_classes: int = 5, feature_dim: int = 4) -> GaussianMixturePrior:
     """Synthetic prior: unit variances, uniform mixing, class means laid
     out as independently permuted equally spaced grids per dimension with
-    seeded Gaussian jitter (standard deviation 0.15), dimension scales
-    decaying by a factor 0.7 per dimension, and a global rescale that pins
-    the minimum pairwise Mahalanobis distance to min_md_target.
+    Gaussian jitter (standard deviation 0.15) seeded by PRIOR_SEED,
+    dimension scales decaying by a factor 0.7 per dimension, and a global
+    rescale that pins the minimum pairwise Mahalanobis distance to
+    MIN_MD_TARGET.
 
     The graded-grid layout mirrors the geometry of principal-component
     features: leading dimensions separate every class pair more than
     trailing ones, so the per-dimension minimum squared mean gap ranks
     dimensions by their real discriminative value.
     """
-    check_real(min_md_target, "min_md_target", 0, strict=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PRIOR_SEED)
     grid = np.arange(num_classes, dtype=np.float64)
     grid -= grid.mean()
     means = np.empty((num_classes, feature_dim))
@@ -225,7 +227,7 @@ def default_prior(num_classes: int = 5, feature_dim: int = 4,
     )
     if num_classes > 1:
         gmin, _ = min_md(prior0)
-        means = means * np.sqrt(min_md_target / gmin)
+        means = means * np.sqrt(MIN_MD_TARGET / gmin)
     return GaussianMixturePrior(
         means=means,
         variances=np.ones(feature_dim),
@@ -234,18 +236,16 @@ def default_prior(num_classes: int = 5, feature_dim: int = 4,
 
 
 def target_sensing_vars(prior: GaussianMixturePrior, num_devices: int,
-                        snr_db: float, seed, spread: float = 2.0) -> np.ndarray:
+                        snr_db: float, seed) -> np.ndarray:
     """Per-device sensing noise variances hitting the average receive
     sensing SNR exactly: the per-device SNR ratios are drawn uniformly
-    within a factor `spread` and renormalized so their mean equals the
-    target."""
+    within a factor SENSING_SPREAD and renormalized so their mean equals
+    the target."""
     if num_devices < 1:
         raise ValidationError(f"num_devices must be >= 1, got {num_devices}")
-    if spread < 1.0:
-        raise ValidationError(f"spread must be >= 1, got {spread!r}")
     mean_var = float(np.mean(prior.variances))
     rng = np.random.default_rng(seed)
-    rho = rng.uniform(1.0 / spread, spread, size=num_devices)
+    rho = rng.uniform(1.0 / SENSING_SPREAD, SENSING_SPREAD, size=num_devices)
     ratios = (10.0 ** (snr_db / 10.0)) * num_devices * rho / rho.sum()
     return mean_var / ratios
 
@@ -324,12 +324,9 @@ def build_context(config: ExperimentConfig, variable: str, value,
     """Prior, sensing variances, power budgets and calibration of sweep
     point `value_index`, where `variable` takes `value`.  Sweeps other than
     comm_snr run at the config's one comm_snr_db value, and draw each
-    point's sensing variances, so they reject explicit sensing_vars."""
+    point's sensing variances; a comm_snr sweep draws one set for all its
+    points."""
     cfg = config
-    if variable in ("sensing_snr", "K") and cfg.sensing_vars is not None:
-        raise ValidationError(
-            f"sensing_vars cannot be given for a {variable} sweep, which draws "
-            f"each point's sensing variances; got {list(cfg.sensing_vars)}")
     if variable == "comm_snr":
         pass
     elif variable == "sensing_snr":
@@ -341,16 +338,12 @@ def build_context(config: ExperimentConfig, variable: str, value,
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
         )
 
-    prior = default_prior(cfg.num_classes, cfg.feature_dim, cfg.min_md_target,
-                          cfg.prior_seed)
-    if cfg.sensing_vars is not None:
-        sensing_vars = np.asarray(cfg.sensing_vars, dtype=np.float64)
-    else:
-        draw_index = value_index if variable in ("sensing_snr", "K") else 0
-        sensing_vars = target_sensing_vars(
-            prior, cfg.num_devices, cfg.sensing_snr_db,
-            np.random.SeedSequence(cfg.seed, spawn_key=(_DOM_SENSING, draw_index)),
-        )
+    prior = default_prior(cfg.num_classes, cfg.feature_dim)
+    draw_index = 0 if variable == "comm_snr" else value_index
+    sensing_vars = target_sensing_vars(
+        prior, cfg.num_devices, cfg.sensing_snr_db,
+        np.random.SeedSequence(cfg.seed, spawn_key=(_DOM_SENSING, draw_index)),
+    )
 
     if variable == "comm_snr":
         snr_db = float(value)
@@ -416,9 +409,9 @@ def _draw_trials(ctx: TrialContext, trial_indices):
     composition; `spawned_generators` seeds all of them in one pass.  The
     loop only draws each trial's raw variates; labels and the scaled and
     shifted arrays are then formed for all trials at once, by the same
-    elementwise operations, so with the same bits.  A label is drawn as
-    `Generator.choice(L, p=mixing)` draws it: one uniform, located in the
-    normalized cumulative mixing weights."""
+    elementwise operations, so with the same bits.  A label and its
+    feature come from one uniform and M normals, as in `sample_arrays`
+    (`labelled_features`)."""
     prior = ctx.prior
     K, M = ctx.sensing_vars.shape[0], prior.feature_dim
     N = 1 if ctx.scheme == "tdm" else ctx.num_subcarriers  # a TDM slot fades flat
@@ -444,10 +437,7 @@ def _draw_trials(ctx: TrialContext, trial_indices):
         sense.standard_normal(out=z_sense[i])
         gains[i] = chan.rayleigh(scale=sigma_r, size=(K, N))
         comm.standard_normal(out=z_comm[i])
-    cdf = prior.mixing.cumsum()
-    cdf /= cdf[-1]
-    labels = cdf.searchsorted(u, side="right") + 1
-    X = prior.means[labels - 1] + z_feat * np.sqrt(prior.variances)
+    labels, X = labelled_features(prior, u, z_feat)
     X_tilde = X[:, None, :] + z_sense * np.sqrt(ctx.sensing_vars)[:, None]
     if ctx.scheme == "tdm":
         gains = np.repeat(gains, ctx.num_subcarriers, axis=2)
@@ -688,7 +678,7 @@ def _stream(config: ExperimentConfig, ctxs, kernel) -> list:
     else:
         # Imported here: a serial run does not pay for loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             results = list(pool.map(kernel, batches))
     parts = [[] for _ in ctxs]
     for chunk, outs in zip(chunks, results):

@@ -87,11 +87,20 @@ def sample_arrays(prior: GaussianMixturePrior, count: int, seed) -> tuple:
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
-    L, M = prior.num_classes, prior.feature_dim
-    labels = rng.choice(L, size=count, p=prior.mixing) + 1
-    noise = rng.standard_normal((count, M))
-    X = prior.means[labels - 1] + noise * np.sqrt(prior.variances)
-    return labels, X
+    u = rng.random(count)
+    return labelled_features(prior, u, rng.standard_normal((count, prior.feature_dim)))
+
+
+def labelled_features(prior: GaussianMixturePrior, u, z) -> tuple:
+    """(labels (n,), X (n, M)) from n uniforms u and (n, M) standard
+    normals z.  Each label is located in the normalized cumulative mixing
+    weights as `Generator.choice(L, p=mixing)` locates its uniform, so a
+    zero-weight class is never drawn; its feature is the class mean plus
+    z scaled by the shared standard deviations."""
+    cdf = prior.mixing.cumsum()
+    cdf /= cdf[-1]
+    labels = cdf.searchsorted(u, side="right") + 1
+    return labels, prior.means[labels - 1] + z * np.sqrt(prior.variances)
 
 
 def _rows(prior, X, what, observed=None):

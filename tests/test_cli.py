@@ -79,17 +79,41 @@ class TestAccuracySweep:
     @pytest.mark.parametrize("key, value", [
         ("decode", "gated"), ("erasure_factor", 9.0), ("responsibility_noise_var", 1.0),
         ("prior_path", "prior.json"), ("sensing_spread", 2.0), ("exclusion_limit", 0.01),
+        ("sensing_vars", [0.1, 0.2, 0.3]), ("prior_seed", 1234), ("min_md_target", 4.0),
     ])
-    def test_removed_keys_are_validation_errors(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("command", ["accuracy-sweep", "fdm-compare"])
+    def test_removed_keys_are_validation_errors(self, tmp_path, capsys, command, key, value):
         # these settings are fixed now (gated decode with erasure factor 9,
         # responsibilities under the true sensing variance, the default
-        # prior, spread 2 and the 1% exclusion limit); naming one is an error
+        # prior with its seed and MD target, drawn sensing variances with
+        # spread 2 and the 1% exclusion limit); naming one is an error
         with pytest.raises(ValidationError, match=key):
             pipeline.ExperimentConfig.from_dict({key: value})
         cfg = accuracy_config(tmp_path, **{key: value})
-        assert main(["accuracy-sweep", "--config", cfg,
-                     "--output", str(tmp_path / "o.csv")]) == 2
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise_var", [1e250, 1e290, 2.3e-308, 1e-320])
+    @pytest.mark.parametrize("command", ["accuracy-sweep", "fdm-compare"])
+    def test_unsquarable_noise_var_is_validation_error(self, tmp_path, capsys, command,
+                                                      noise_var):
+        # the solvers square noise_var: these used to exit 0 with FDM
+        # designs of MD 0 (and an inf baseline MSE at 1e-320)
+        cfg = accuracy_config(tmp_path, noise_var=noise_var)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        assert "noise_var" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "o_confusion.csv").exists()
+
+    @pytest.mark.parametrize("noise_var", [1e-160, 1e-150])
+    def test_small_squarable_noise_var_runs(self, tmp_path, noise_var):
+        cfg = accuracy_config(tmp_path, noise_var=noise_var, trials=5,
+                              calibration_samples=200)
+        assert main(["fdm-compare", "--config", cfg,
+                     "--output", str(tmp_path / "o.csv")]) == 0
 
     @pytest.mark.parametrize("overrides, text", [
         ({"comm_snr_db": [4000]}, "comm_snr_db"),
@@ -99,7 +123,7 @@ class TestAccuracySweep:
         ({"comm_snr_db": [10.0], "sweep_variable": "sensing_snr", "sweep_values": [0, 4000]},
          "sweep_values"),
         ({"sweep_values": [0.0, -4000]}, "sweep_values"),
-        ({"estimator": "ml", "sensing_vars": [1e308, 1, 1]}, "calibration of device 0"),
+        ({"estimator": "ml", "sensing_snr_db": -3070}, "calibration of device 0"),
     ])
     def test_unusable_snr_or_calibration_is_validation_error(self, tmp_path, capsys,
                                                              overrides, text):
@@ -123,17 +147,6 @@ class TestAccuracySweep:
         assert main(["accuracy-sweep", "--config", cfg,
                      "--output", str(tmp_path / "o.csv")]) == 2
         assert "K sweep" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("variable, values", [("K", [3]), ("sensing_snr", [5.0])])
-    def test_sensing_vars_in_a_drawing_sweep_is_validation_error(self, tmp_path, capsys,
-                                                                 variable, values):
-        cfg = accuracy_config(tmp_path, sweep_variable=variable, sweep_values=values,
-                              comm_snr_db=[10.0], sensing_vars=[0.1, 0.2, 0.3])
-        out = tmp_path / "o.csv"
-        assert main(["accuracy-sweep", "--config", cfg, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "sensing_vars" in err and f"{variable} sweep" in err
-        assert not out.exists()
 
     def test_tdm_with_too_few_subcarriers_is_validation_error(self, tmp_path, capsys):
         cfg = accuracy_config(tmp_path, trials=5, scheme="tdm", solver="tdm_mse",
@@ -183,12 +196,16 @@ class TestEstimatorSweep:
         header = out1.read_text().split("\n")[0]
         assert header.startswith("sensing_snr_db,mse_ml,mse_rwb,mse_mmse")
 
-    def test_nan_min_md_target_is_validation_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "est.json",
-                           {"trials": 200, "min_md_target": float("nan")})
-        assert main(["estimator-sweep", "--config", cfg,
-                     "--output", str(tmp_path / "e.csv")]) == 2
-        assert "min_md_target" in capsys.readouterr().err
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", 5), ("feature_dim", 4), ("min_md_target", 4.0), ("prior_seed", 1234),
+    ])
+    def test_removed_keys_are_validation_errors(self, tmp_path, capsys, key, value):
+        # the sweep runs on the reference prior, `default_prior()`
+        cfg = write_config(tmp_path, "est.json", {"trials": 20, key: value})
+        out = tmp_path / "e.csv"
+        assert main(["estimator-sweep", "--config", cfg, "--output", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_snr_grid_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "est.json",

@@ -256,7 +256,7 @@ class TestSensingSnr:
         rng = np.random.default_rng(19)
         prior = random_prior(rng)
         for snr in rng.uniform(-10.0, 20.0, 3):
-            svars = target_sensing_vars(prior, 4, snr, seed=19, spread=3.0)
+            svars = target_sensing_vars(prior, 4, snr, seed=19)
             assert svars.shape == (4,)
             assert 10 * np.log10(np.mean(np.mean(prior.variances) / svars)) \
                 == pytest.approx(snr, abs=1e-9)

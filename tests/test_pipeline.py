@@ -59,10 +59,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(solver="magic")
 
-    def test_sensing_vars_length_checked(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig(num_devices=3, sensing_vars=(0.1, 0.2))
-
     @pytest.mark.parametrize("field, value", [
         *[(name, bad) for name in ("num_classes", "feature_dim", "num_devices",
                                    "num_subcarriers", "trials", "calibration_samples")
@@ -72,13 +68,12 @@ class TestConfig:
         ("sensing_snr_db", float("nan")), ("sensing_snr_db", float("-inf")),
         ("comm_snr_db", (10.0, 4000.0)), ("comm_snr_db", (-4000.0,)),
         ("sensing_snr_db", 4000.0), ("sensing_snr_db", -4000.0),
-        ("min_md_target", float("nan")), ("min_md_target", 0.0), ("min_md_target", -1.0),
-        ("sensing_vars", (float("nan"), 0.1, 0.1)), ("sensing_vars", (0.1, float("inf"), 0.1)),
+        ("noise_var", 1e250), ("noise_var", 1e290), ("noise_var", 2.3e-308),
+        ("noise_var", 1e-320),
         ("solver_opts", {"kkt_tol": float("nan")}), ("solver_opts", {"kkt_tol": float("inf")}),
         ("solver_opts", {"kkt_tol": True}), ("solver_opts", {"kkt_tol": "1e-5"}),
         ("solver_opts", 5), ("comm_snr_db", ()),
-        ("sensing_vars", ("a", 0.1, 0.1)),
-        *[(name, bad) for name in ("seed", "prior_seed") for bad in ("x", float("nan"), -1)],
+        *[("seed", bad) for bad in ("x", float("nan"), -1)],
         ("workers", "x"), ("workers", 0), ("workers", -3), ("workers", 2.7),
     ])
     def test_bad_numbers_name_the_field(self, field, value):
@@ -96,8 +91,8 @@ class TestConfig:
 
 class TestDefaultPrior:
     def test_min_md_hits_target(self):
-        prior = default_prior(min_md_target=4.0)
-        assert min_md(prior)[0] == pytest.approx(4.0)
+        prior = default_prior()
+        assert min_md(prior)[0] == pytest.approx(pipeline.MIN_MD_TARGET)
 
     def test_mixture_mean_centered(self):
         prior = default_prior()
@@ -108,14 +103,9 @@ class TestDefaultPrior:
         delta = discriminative_prior(default_prior())
         assert delta[0] > delta[-1]
 
-    @pytest.mark.parametrize("target", [float("nan"), 0.0, -4.0, float("inf")])
-    def test_bad_min_md_target_names_the_field(self, target):
-        with pytest.raises(ValidationError, match="min_md_target"):
-            default_prior(min_md_target=target)
-
     def test_seeded_determinism(self):
-        a = default_prior(seed=77)
-        b = default_prior(seed=77)
+        a = default_prior()
+        b = default_prior()
         np.testing.assert_array_equal(a.means, b.means)
 
 
@@ -127,10 +117,10 @@ class TestTargetSensingVars:
             mean_ratio = np.mean(np.mean(prior.variances) / sv)
             assert 10 * np.log10(mean_ratio) == pytest.approx(snr, abs=1e-9)
 
-    def test_unit_spread_gives_equal_devices(self):
-        prior = default_prior()
-        sv = target_sensing_vars(prior, 4, 5.0, seed=1, spread=1.0)
-        np.testing.assert_allclose(sv, sv[0])
+    def test_devices_lie_within_the_spread(self):
+        sv = target_sensing_vars(default_prior(), 50, 5.0, seed=1)
+        assert sv.max() / sv.min() <= pipeline.SENSING_SPREAD ** 2
+        assert np.unique(sv).size == 50
 
 
 def _calibrate_reference(prior, sensing_vars, estimator, n_samples, seed, row_major):
@@ -215,7 +205,8 @@ class TestRunTrial:
     def test_noiseless_chain_matches_clean_classifier(self):
         # noiseless sensing plus a transparent channel (power budget far
         # above the receiver noise) must reproduce the clean classifier
-        cfg = tiny_config(sensing_vars=(0.0, 0.0, 0.0), noise_var=1e-12,
+        # (sensing variances of about 1e-300)
+        cfg = tiny_config(sensing_snr_db=3000.0, noise_var=1e-12,
                           estimator="ml", solver="equal")
         ctx = pipeline.build_context(cfg, "comm_snr", 180.0, 0)
         out, = pipeline.run_trials_batch([(ctx, range(30))])
@@ -330,19 +321,6 @@ class TestSweep:
             assert ra.md_mean == rb.md_mean
             np.testing.assert_array_equal(ra.confusion, rb.confusion)
 
-    @pytest.mark.parametrize("variable, values", [("K", [3, 4]), ("sensing_snr", [5.0])])
-    def test_explicit_sensing_vars_in_a_drawing_sweep_fail(self, monkeypatch, variable,
-                                                           values):
-        # K and sensing_snr sweeps draw each point's sensing variances, so
-        # explicit ones would be dropped without a word.
-        monkeypatch.setattr(pipeline, "calibrate", lambda *args: pytest.fail("calibrated"))
-        cfg = tiny_config(sensing_vars=(0.1, 0.2, 0.3))
-        with pytest.raises(ValidationError, match=f"^sensing_vars .* {variable} sweep"):
-            sweep(cfg, variable, values)
-        monkeypatch.undo()
-        assert sweep(tiny_config(trials=2, sensing_vars=(0.1, 0.2, 0.3)), "comm_snr",
-                     [10.0])[0].n_trials == 2
-
     def test_worker_count_does_not_change_results(self):
         cfg1 = tiny_config(trials=50, workers=1)
         cfg3 = tiny_config(trials=50, workers=3)
@@ -352,6 +330,28 @@ class TestSweep:
         assert a.mse_mean == b.mse_mean
         assert a.md_mean == b.md_mean
         np.testing.assert_array_equal(a.confusion, b.confusion)
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # 2 trials make 2 chunks; a pool of 8 would fork 6 idle processes
+        import concurrent.futures
+        opened = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        assert sweep(tiny_config(trials=2, workers=8), "comm_snr", [10.0])[0].n_trials == 2
+        assert opened == [2]
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # Only a sweep with workers > 1 imports the process pool.
@@ -423,13 +423,12 @@ class TestSweep:
         drawn = []
         monkeypatch.setattr(pipeline, "_draw_trials",
                             lambda ctx, trials: drawn.append(ctx) or pytest.fail("drew"))
-        cfg = tiny_config(estimator="ml", sensing_vars=(1.0, 1e308, 1.0),
-                          calibration_samples=200)
-        with pytest.raises(ValidationError, match=r"device 1 at sweep point 0 "
-                                                  r"\(comm_snr=0.0, sensing variance 1e\+308"):
-            sweep(cfg, "comm_snr", [0.0, 10.0])
         # -3070 dB is a valid SNR, but its sensing variances of ~1e307
         # overflow the calibration means.
+        cfg = tiny_config(estimator="ml", sensing_snr_db=-3070.0, calibration_samples=200)
+        with pytest.raises(ValidationError, match=r"device 0 at sweep point 0 \(comm_snr=0.0, "
+                                                  r"sensing variance \d\.\d+e\+30[67]\)"):
+            sweep(cfg, "comm_snr", [0.0, 10.0])
         with pytest.raises(ValidationError, match=r"at sweep point 1 \(sensing_snr=-3070.0"):
             sweep(tiny_config(estimator="ml", calibration_samples=200), "sensing_snr",
                   [10.0, -3070.0])
