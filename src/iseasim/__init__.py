@@ -13,7 +13,6 @@ from .pipeline import (
     MetricsRecord,
     export,
     read_metrics_csv,
-    run_trial,
     sweep,
 )
 from .prior import (

@@ -1,8 +1,8 @@
 """Command-line front end: reads a subcommand's JSON config, checks it,
 calls the library and writes the result.  Every draw, solve and formula
 lives in the library.  The compare subcommands run `pipeline.compare` on
-the sweep's trial stream, so they honour `workers`, ISEASIM_WORKERS and
-the KKT gate (`solver_opts.kkt_tol`) as a sweep does.
+the sweep's trial stream, so they honour `workers` (default 1) and the
+KKT gate (`solver_opts.kkt_tol`) as a sweep does.
 
 Subcommands (all read a JSON config and write deterministic CSVs):
 

@@ -4,11 +4,15 @@ Each trial walks the full chain: draw a labeled feature, observe it at
 every device through sensing noise, estimate locally, solve the
 transceiver design for a fresh channel draw, aggregate over the air,
 decode, classify.  A sweep builds the context of every swept value
-first, then runs the (value, trial) pairs as one stream of chunks that may
-cross values -- serially or on one process pool for the whole sweep --
-and reduces each value's trials into a MetricsRecord row for CSV export.
-`compare` (fdm-compare, tdm-compare) runs its per-trial channel draws and
-designs on the same stream, under the same KKT gate.
+first, then runs the (value, trial) pairs through `run_trials_batch`, the
+one trial entry, as one stream of chunks that may cross values --
+serially or on one process pool for the whole sweep -- and reduces each
+value's trials into a MetricsRecord row for CSV export.  `compare`
+(fdm-compare, tdm-compare) runs its per-trial channel draws and designs
+on the same stream, under the same KKT gate.  The offline runs
+(`calibrate`, `estimator_sweep`) draw their features and observations
+through one rule (`_sensed`), and every local estimate, offline or in a
+trial, runs through one blocked rule (`_estimate`).
 
 Determinism: every random quantity flows from the root seed through
 numpy SeedSequence spawn keys of the form (domain, value_index,
@@ -53,8 +57,6 @@ from .validation import (
     check_real,
 )
 
-WORKERS_ENV = "ISEASIM_WORKERS"
-
 # SeedSequence spawn-key domains
 _DOM_SENSING = 1
 _DOM_TRIAL = 2
@@ -67,7 +69,7 @@ _EST_VAR_FLOOR = 1e-12
 SWEEP_VARIABLES = ("comm_snr", "sensing_snr", "K")
 # ExperimentConfig fields that count something and must be integers >= 1.
 _COUNT_FIELDS = ("num_classes", "feature_dim", "num_devices", "num_subcarriers",
-                 "trials", "calibration_samples")
+                 "trials", "calibration_samples", "workers")
 # The reference prior (`default_prior`): the seed of its mean layout and
 # the minimum Mahalanobis distance between its class means.
 PRIOR_SEED = 1234
@@ -89,8 +91,8 @@ EXCLUSION_LIMIT = 0.01
 # 520-675 us a trial in chunks of 128, 172-186 at 2048, 128-166 at 4608;
 # at K = 8, 300-376 us from 1024 up, with no trend beyond the run-to-run
 # spread), while the chunk's working arrays grow by about 5 KiB a trial at
-# K = 8 (peak RSS 45 MiB at 1024, 49 at 2048, 55 at 4096).  `calibrate`
-# runs the estimator in blocks of this many samples too (at L = 5, M = 4,
+# K = 8 (peak RSS 45 MiB at 1024, 49 at 2048, 55 at 4096).  `_estimate`
+# runs the estimator in blocks of this many rows too (at L = 5, M = 4,
 # 2.4 ms per 10,000 rwb rows in blocks of 2048 or 4096, 2.8 at 1024, 5.2
 # in one block).
 CHUNK_TRIALS = 2048
@@ -111,7 +113,8 @@ class ExperimentConfig:
     prior is `default_prior(num_classes, feature_dim)`, and each device's
     sensing variance is drawn (`target_sensing_vars`) to hit the average
     sensing SNR `sensing_snr_db`.  noise_var must have a finite square
-    > 0, as the solvers square it."""
+    > 0, as the solvers square it.  `workers` > 1 runs a sweep's chunks
+    on a process pool of that many workers, with the same bytes."""
 
     num_classes: int = 5
     feature_dim: int = 4
@@ -126,15 +129,13 @@ class ExperimentConfig:
     comm_snr_db: tuple = (-20.0, -10.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
     sensing_snr_db: float = 10.0
     calibration_samples: int = 10000
-    workers: int = None
+    workers: int = 1
     solver_opts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in _COUNT_FIELDS:
             check_count(getattr(self, name), name)
         check_count(self.seed, "seed", 0)
-        if self.workers is not None:
-            check_count(self.workers, "workers")
         object.__setattr__(self, "comm_snr_db", tuple(
             check_db(v, "comm_snr_db") for v in check_list(self.comm_snr_db, "comm_snr_db")))
         noise_var = check_real(self.noise_var, "noise_var", 0, strict=True)
@@ -259,37 +260,51 @@ class Calibration:
     nu2: np.ndarray
 
 
+def _sensed(prior: GaussianMixturePrior, sensing_vars, n: int, seed) -> tuple:
+    """The one sensing draw: (labels, X, observations) of `n` labelled
+    features drawn from child 0 of SeedSequence(seed).spawn(K + 1), where
+    `observations` lazily yields device k's noisy copy of X at variance
+    sensing_vars[k], drawn from child k + 1."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = ss.spawn(len(sensing_vars) + 1)
+    labels, X = sample_arrays(prior, n, children[0])
+    return labels, X, (observe_batch(X, var, child)
+                       for var, child in zip(sensing_vars, children[1:]))
+
+
+def _estimate(tag, prior: GaussianMixturePrior, X_tilde, sensing_var, labels) -> tuple:
+    """The one blocked estimate: (X_hat, posterior_var), both (n, M), of
+    estimator `tag` on the rows of X_tilde, run on blocks of CHUNK_TRIALS
+    rows so its class-major working arrays (L * M doubles a row each) stay
+    the size of one block however many rows there are.  Each row's
+    estimate depends on that row alone, so blocking does not move a bit."""
+    n, M = X_tilde.shape
+    X_hat, pv = np.empty((n, M)), np.empty((n, M))
+    for lo in range(0, n, CHUNK_TRIALS):
+        block = slice(lo, lo + CHUNK_TRIALS)
+        X_hat[block], pv[block] = estimate_batch(
+            tag, prior, X_tilde[block], sensing_var, labels=labels[block])
+    return X_hat, pv
+
+
 def calibrate(prior: GaussianMixturePrior, sensing_vars, estimator: str,
               n_samples: int, seed) -> Calibration:
     """Estimate sigma_hat^2 (mean posterior variance) and nu^2 (mean
     squared estimate) per device and feature dimension from a seeded
-    offline sample run.
+    offline sample run (`_sensed`, `_estimate`).
 
-    The estimator runs on blocks of CHUNK_TRIALS samples, so its
-    class-major working arrays (L * M doubles a sample each) stay the size
-    of one block however many samples there are.  The blocks fill one
-    C-ordered (n_samples, M) array each of estimates and posterior
-    variances, whose means over all samples are taken at once: blocking
-    does not move a bit."""
+    One device is observed and estimated at a time, so no (n_samples, K,
+    M) array is ever held.  Each device's means over all samples are
+    taken at once, on C-ordered (n_samples, M) arrays."""
     sensing_vars = np.asarray(sensing_vars, dtype=np.float64)
-    K = sensing_vars.shape[0]
-    M = prior.feature_dim
-    ss = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    children = ss.spawn(K + 1)
-    labels, X = sample_arrays(prior, n_samples, children[0])
-    sigma_hat = np.empty((K, M))
-    nu2 = np.empty((K, M))
-    X_hat = np.empty((n_samples, M))
-    pv = np.empty((n_samples, M))
-    for k in range(K):
-        X_tilde = observe_batch(X, sensing_vars[k], children[k + 1])
-        for lo in range(0, n_samples, CHUNK_TRIALS):
-            block = slice(lo, lo + CHUNK_TRIALS)
-            X_hat[block], pv[block] = estimate_batch(
-                estimator, prior, X_tilde[block], sensing_vars[k], labels=labels[block])
-        sigma_hat[k] = np.maximum(pv.mean(axis=0), _EST_VAR_FLOOR)
-        nu2[k] = np.maximum((X_hat * X_hat).mean(axis=0), _EST_VAR_FLOOR)
-    return Calibration(sigma_hat=sigma_hat, nu2=nu2)
+    labels, _, observations = _sensed(prior, sensing_vars, n_samples, seed)
+    sigma_hat, nu2 = [], []
+    for var, X_tilde in zip(sensing_vars, observations):
+        X_hat, pv = _estimate(estimator, prior, X_tilde, var, labels)
+        sigma_hat.append(pv.mean(axis=0))
+        nu2.append((X_hat * X_hat).mean(axis=0))
+    return Calibration(sigma_hat=np.maximum(sigma_hat, _EST_VAR_FLOOR),
+                       nu2=np.maximum(nu2, _EST_VAR_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -370,16 +385,10 @@ def build_context(config: ExperimentConfig, variable: str, value,
     delta = discriminative_prior(prior) if prior.num_classes > 1 \
         else np.zeros(prior.feature_dim)
     # (moments, est_vars, delta) the solver designs against: per feature
-    # dimension, or for the TDM closed forms one slot of per-device
-    # averages over the dimensions (pooled over devices for tdm_md, whose
-    # closed form needs homogeneous variances).
+    # dimension, or one slot for the TDM closed forms.
     design_stats = (cal.nu2, cal.sigma_hat, delta)
     if cfg.solver in solvers.TDM_SOLVERS:
-        sv_slot = cal.sigma_hat.mean(axis=1, keepdims=True)
-        if cfg.solver == "tdm_md":
-            sv_slot = np.full_like(sv_slot, sv_slot.mean())
-        design_stats = (cal.nu2.mean(axis=1, keepdims=True), sv_slot,
-                        np.array([delta.mean()]))
+        design_stats = _tdm_slot(cal.nu2, cal.sigma_hat, delta, cfg.solver)
     return TrialContext(
         prior=prior, sensing_vars=sensing_vars, budgets=budgets,
         noise_var=cfg.noise_var, scheme=cfg.scheme, estimator=cfg.estimator,
@@ -390,11 +399,22 @@ def build_context(config: ExperimentConfig, variable: str, value,
     )
 
 
-def _pooled_slot(ctx: TrialContext) -> tuple:
-    """tdm-compare's slot for both TDM designs: est_vars pooled over the
-    devices and dimensions at once."""
-    return (ctx.nu2.mean(axis=1, keepdims=True),
-            np.full((ctx.nu2.shape[0], 1), ctx.sigma_hat.mean()), np.array([ctx.delta.mean()]))
+def _tdm_slot(nu2, sigma_hat, delta, solver) -> tuple:
+    """The slot (moments, est_vars, delta), (K, 1), (K, 1) and (1,), that
+    a sweep's TDM design `solver` runs on: per-device averages over the
+    dimensions, with est_vars also pooled over the devices for tdm_md,
+    whose closed form needs homogeneous variances."""
+    est_vars = sigma_hat.mean(axis=1, keepdims=True)
+    if solver == "tdm_md":
+        est_vars = np.full_like(est_vars, est_vars.mean())
+    return nu2.mean(axis=1, keepdims=True), est_vars, np.array([delta.mean()])
+
+
+def _pooled_slot(nu2, sigma_hat, delta) -> tuple:
+    """tdm-compare's slot for both TDM designs: as `_tdm_slot`, but with
+    est_vars pooled over the devices and dimensions at once."""
+    return (nu2.mean(axis=1, keepdims=True), np.full((nu2.shape[0], 1), sigma_hat.mean()),
+            np.array([delta.mean()]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +466,10 @@ def _draw_trials(ctx: TrialContext, trial_indices):
 
 def _estimate_all(ctx: TrialContext, labels, X_tilde):
     """Run the configured estimator per device; returns (T, K, M)."""
-    T, K, M = X_tilde.shape
-    X_hat = np.empty((T, K, M))
-    for k in range(K):
-        X_hat[:, k, :], _ = estimate_batch(
-            ctx.estimator, ctx.prior, X_tilde[:, k, :], ctx.sensing_vars[k],
-            labels=labels)
+    X_hat = np.empty(X_tilde.shape)
+    for k in range(X_tilde.shape[1]):
+        X_hat[:, k, :], _ = _estimate(ctx.estimator, ctx.prior, X_tilde[:, k, :],
+                                      ctx.sensing_vars[k], labels)
     return X_hat
 
 
@@ -575,40 +593,9 @@ def run_trials_batch(segments) -> list:
     return outs
 
 
-def run_trial(config: ExperimentConfig, trial_seed: int,
-              comm_snr_db=None) -> tuple:
-    """Single-trial reference path: returns (true label, predicted label,
-    analytic total MSE, total received MD).  trial_seed is the trial
-    index inside the root seed's stream."""
-    trial_seed = check_count(trial_seed, "trial_seed", 0)
-    value = config.comm_snr_db[0] if comm_snr_db is None \
-        else check_db(comm_snr_db, "comm_snr_db")
-    ctx = build_context(config, "comm_snr", value, 0)
-    out, = run_trials_batch([(ctx, [trial_seed])])
-    if not out["converged"][0]:
-        raise NonConvergenceError(
-            f"trial {trial_seed}: solver failed to converge"
-        )
-    return (int(out["labels"][0]), int(out["preds"][0]),
-            float(out["mse"][0]), float(out["md"][0]))
-
-
 # ---------------------------------------------------------------------------
 # sweeps and reductions
 # ---------------------------------------------------------------------------
-
-def _resolve_workers(config: ExperimentConfig) -> int:
-    if config.workers is not None:
-        return config.workers
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = env
-    return check_count(workers, WORKERS_ENV)
-
 
 def _chunks(points: int, trials: int, workers: int) -> list:
     """The (point, trial) pairs of a sweep, point-major, cut into
@@ -670,15 +657,14 @@ def _stream(config: ExperimentConfig, ctxs, kernel) -> list:
     """`config.trials` trials of each of `ctxs`, run as one stream of
     chunks (`_chunks`), in turn or on one process pool, by `kernel`: one
     dict of per-trial arrays per context, joined in trial order."""
-    workers = _resolve_workers(config)
-    chunks = _chunks(len(ctxs), config.trials, workers)
+    chunks = _chunks(len(ctxs), config.trials, config.workers)
     batches = [[(ctxs[p], range(lo, hi)) for p, lo, hi in chunk] for chunk in chunks]
-    if workers <= 1:
+    if config.workers == 1:
         results = map(kernel, batches)
     else:
         # Imported here: a serial run does not pay for loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(batches))) as pool:
             results = list(pool.map(kernel, batches))
     parts = [[] for _ in ctxs]
     for chunk, outs in zip(chunks, results):
@@ -742,7 +728,7 @@ def compare(config: ExperimentConfig, names) -> list:
     comm SNR), and the trials run on the sweep's stream."""
     ctx = build_context(config, "comm_snr", 0.0, 0)
     if config.scheme == "tdm":
-        ctx = replace(ctx, design_stats=_pooled_slot(ctx))
+        ctx = replace(ctx, design_stats=_pooled_slot(ctx.nu2, ctx.sigma_hat, ctx.delta))
     ctxs = [replace(ctx, budgets=power_budgets(config, snr_db), value_index=v_idx)
             for v_idx, snr_db in enumerate(config.comm_snr_db)]
     rows = []
@@ -834,7 +820,9 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
 
     Sensing noise variances are equal across devices at each grid point
     (the comparison isolates the estimator); all estimators see the same
-    observations, so the MSE gaps are paired.
+    observations (`_sensed`), so the MSE gaps are paired.  A point whose
+    statistics are not all finite, as when the gaps' squares overflow at
+    a very low sensing SNR, is a ValidationError naming it.
     """
     check_count(num_devices, "num_devices")
     check_count(trials, "trials")
@@ -845,20 +833,17 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
     mean_var = float(np.mean(prior.variances))
     for v_idx, snr_db in enumerate(snr_grid_db):
         svar = mean_var / 10.0 ** (snr_db / 10.0)
-        ss = np.random.SeedSequence(seed, spawn_key=(_DOM_EST_SWEEP, v_idx))
-        children = ss.spawn(1 + num_devices)
-        labels, X = sample_arrays(prior, trials, children[0])
-        X_tilde = np.empty((trials, num_devices, prior.feature_dim))
-        for k in range(num_devices):
-            X_tilde[:, k, :] = observe_batch(X, svar, children[k + 1])
+        labels, X, observations = _sensed(
+            prior, [svar] * num_devices, trials,
+            np.random.SeedSequence(seed, spawn_key=(_DOM_EST_SWEEP, v_idx)))
+        observations = list(observations)
         per_trial_mse = {}
         acc = {}
         acc_std = {}
         for tag in ("ml", "rwb", "mmse"):
-            X_hat = np.empty_like(X_tilde)
-            for k in range(num_devices):
-                X_hat[:, k, :], _ = estimate_batch(
-                    tag, prior, X_tilde[:, k, :], svar, labels=labels)
+            X_hat = np.empty((trials, num_devices, prior.feature_dim))
+            for k, X_tilde in enumerate(observations):
+                X_hat[:, k, :], _ = _estimate(tag, prior, X_tilde, svar, labels)
             agg = X_hat.mean(axis=1)
             per_trial_mse[tag] = np.mean((X_hat - X[:, None, :]) ** 2, axis=(1, 2))
             correct = (map_classify_batch(prior, agg) == labels).astype(float)
@@ -866,13 +851,20 @@ def estimator_sweep(prior: GaussianMixturePrior, num_devices: int,
             acc_std[tag] = float(correct.std(ddof=1)) if trials > 1 else 0.0
         gap1 = per_trial_mse["rwb"] - per_trial_mse["ml"]
         gap2 = per_trial_mse["mmse"] - per_trial_mse["rwb"]
-        records.append(EstimatorSweepRecord(
+        record = EstimatorSweepRecord(
             sensing_snr_db=float(snr_db),
             mse={tag: float(v.mean()) for tag, v in per_trial_mse.items()},
             acc=acc, acc_std=acc_std,
             se_gap_rwb_ml=float(gap1.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
             se_gap_mmse_rwb=float(gap2.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
-        ))
+        )
+        gaps = (record.se_gap_rwb_ml, record.se_gap_mmse_rwb)
+        if not np.isfinite([*record.mse.values(), *acc.values(), *acc_std.values(), *gaps]).all():
+            raise ValidationError(
+                f"sensing_snr_grid_db point {snr_db!r} (sensing variance {svar!r}) gave "
+                f"non-finite statistics: mse {record.mse}, se_gap_rwb_ml {gaps[0]!r}, "
+                f"se_gap_mmse_rwb {gaps[1]!r}")
+        records.append(record)
     return records
 
 

@@ -215,6 +215,24 @@ class TestEstimatorSweep:
         assert "sensing_snr_grid_db" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("snr_db", [-1540, -3070])
+    def test_non_finite_statistics_are_validation_errors(self, tmp_path, capsys, snr_db):
+        # -1540 dB wrote se_gap_* = inf, -3070 dB mse_ml = inf and se_gap_* = nan
+        cfg = write_config(tmp_path, "est.json", {"trials": 200, "sensing_snr_grid_db": [snr_db]})
+        out = tmp_path / "e.csv"
+        assert main(["estimator-sweep", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sensing_snr_grid_db point {float(snr_db)!r}" in err and "non-finite" in err
+        assert not out.exists()
+
+    def test_lowest_finite_snr_writes_finite_statistics(self, tmp_path):
+        cfg = write_config(tmp_path, "est.json", {"trials": 200, "sensing_snr_grid_db": [-1500]})
+        out = tmp_path / "e.csv"
+        assert main(["estimator-sweep", "--config", cfg, "--output", str(out)]) == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert len(row) == 12 and all(math.isfinite(float(v)) for v in row)
+
+
 class TestEntropyReport:
     def test_emits_rows_per_configuration(self, tmp_path):
         cfg = write_config(tmp_path, "ent.json", {
@@ -308,15 +326,6 @@ class TestCompareCommands:
                      "--output", str(tmp_path / "f.csv")]) == 3
         err = capsys.readouterr().err
         assert "'fdm_mse'" in err and "comm_snr=10.0" in err
-
-    @pytest.mark.parametrize("command, scheme", [("fdm-compare", "fdm"), ("tdm-compare", "tdm")])
-    def test_reads_the_workers_env(self, tmp_path, capsys, monkeypatch, command, scheme):
-        cfg = write_config(tmp_path, "cmp.json",
-                           {"trials": 3, "comm_snr_db": [10.0], "scheme": scheme,
-                            "calibration_samples": 200})
-        monkeypatch.setenv(pipeline.WORKERS_ENV, "x")
-        assert main([command, "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 2
-        assert pipeline.WORKERS_ENV in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 7])

@@ -154,3 +154,37 @@ def test_dead_name_detector():
     }
     assert dead_public_names(sources, {"Exported"}) == [("a.py", "dead"),
                                                         ("c.py", "Lonely")]
+
+
+def call_sites(sources, names):
+    """name -> sorted (module, top-level definition) pairs whose code calls
+    it, by its bare name or as an attribute, for each of `names`."""
+    found = {name: set() for name in names}
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if called in found:
+                        found[called].add((module, getattr(top, "name", "<module>")))
+    return {name: sorted(sites) for name, sites in found.items()}
+
+
+def test_each_sensing_rule_runs_from_one_place():
+    # One sensing draw (`_sensed`) and one blocked estimate (`_estimate`):
+    # no other package code draws, observes or estimates on its own.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert call_sites(sources, ("sample_arrays", "observe_batch", "estimate_batch")) == {
+        "sample_arrays": [("pipeline.py", "_sensed")],
+        "observe_batch": [("pipeline.py", "_sensed")],
+        "estimate_batch": [("pipeline.py", "_estimate")],
+    }
+
+
+def test_call_site_detector():
+    sources = {
+        "a.py": "def f():\n    g(1)\n\nclass C:\n    def m(self):\n        return x.g()\n\ng(2)\n",
+        "b.py": "def h():\n    return g\n",
+    }
+    assert call_sites(sources, ("g", "k")) == {
+        "g": [("a.py", "<module>"), ("a.py", "C"), ("a.py", "f")], "k": []}

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from iseasim.pipeline import (
     default_prior,
     export,
     read_metrics_csv,
-    run_trial,
     sweep,
     target_sensing_vars,
 )
@@ -75,6 +75,7 @@ class TestConfig:
         ("solver_opts", 5), ("comm_snr_db", ()),
         *[("seed", bad) for bad in ("x", float("nan"), -1)],
         ("workers", "x"), ("workers", 0), ("workers", -3), ("workers", 2.7),
+        ("workers", None),
     ])
     def test_bad_numbers_name_the_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -197,11 +198,56 @@ class TestCalibrate:
         np.testing.assert_allclose(cal.nu2, expected_nu2, rtol=0.05)
 
 
-class TestRunTrial:
-    def test_deterministic(self):
-        cfg = tiny_config()
-        assert run_trial(cfg, 7) == run_trial(cfg, 7)
+class TestSensed:
+    def test_draws_features_from_child_0_and_device_k_from_child_k_plus_1(self):
+        prior = default_prior()
+        sv = [0.05, 0.3, 1.5]
+        labels, X, observations = pipeline._sensed(prior, sv, 300, 11)
+        children = np.random.SeedSequence(11).spawn(4)
+        want_labels, want_X = sample_arrays(prior, 300, children[0])
+        assert labels.tobytes() == want_labels.tobytes() and X.tobytes() == want_X.tobytes()
+        for var, child, got in zip(sv, children[1:], observations, strict=True):
+            assert got.tobytes() == observe_batch(want_X, var, child).tobytes()
 
+    def test_observes_one_device_at_a_time(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "observe_batch",
+                            lambda X, var, seed: calls.append(var) or X)
+        _, _, observations = pipeline._sensed(default_prior(), [0.1, 0.2], 10, 0)
+        assert calls == []
+        next(observations)
+        assert calls == [0.1]
+
+
+class TestTdmSlot:
+    # A hand-made 2 x 3 calibration whose averages are exact.
+    NU2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 9.0]])
+    SIGMA_HAT = np.array([[0.5, 1.0, 1.5], [2.0, 4.0, 6.0]])
+    DELTA = np.array([0.25, 0.5, 1.5])
+
+    @pytest.mark.parametrize("rule, want_vars", [
+        (partial(pipeline._tdm_slot, solver="tdm_mse"), [[1.0], [4.0]]),
+        (partial(pipeline._tdm_slot, solver="tdm_md"), [[2.5], [2.5]]),
+        (pipeline._pooled_slot, [[2.5], [2.5]]),
+    ], ids=["tdm_mse", "tdm_md", "pooled"])
+    def test_pins_the_slot_of_each_rule(self, rule, want_vars):
+        moments, est_vars, delta = rule(self.NU2, self.SIGMA_HAT, self.DELTA)
+        np.testing.assert_array_equal(moments, [[2.0], [6.0]])
+        np.testing.assert_array_equal(est_vars, want_vars)
+        np.testing.assert_array_equal(delta, [0.75])
+        assert (moments.shape, est_vars.shape, delta.shape) == ((2, 1), (2, 1), (1,))
+
+    @pytest.mark.parametrize("solver", ["tdm_mse", "tdm_md"])
+    def test_is_the_slot_a_tdm_sweep_designs_against(self, solver):
+        ctx = pipeline.build_context(tiny_config(scheme="tdm", solver=solver), "comm_snr",
+                                     10.0, 0)
+        for got, want in zip(ctx.design_stats,
+                             pipeline._tdm_slot(ctx.nu2, ctx.sigma_hat, ctx.delta, solver),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestRunTrial:
     def test_noiseless_chain_matches_clean_classifier(self):
         # noiseless sensing plus a transparent channel (power budget far
         # above the receiver noise) must reproduce the clean classifier
@@ -214,26 +260,6 @@ class TestRunTrial:
         np.testing.assert_array_equal(out["preds"],
                                       map_classify_batch(ctx.prior, X))
         np.testing.assert_array_equal(out["clean_preds"], out["preds"])
-
-    @pytest.mark.parametrize("trial_seed", [-1, 0.5, True])
-    def test_bad_trial_seed_names_it(self, trial_seed):
-        # -1 used to raise numpy's own ValueError; 0.5 and True ran trials 0 and 1
-        with pytest.raises(ValidationError, match="^trial_seed must be an integer >= 0"):
-            run_trial(tiny_config(), trial_seed)
-
-    @pytest.mark.parametrize("comm_snr_db", [float("nan"), 1e5])
-    def test_bad_comm_snr_names_it(self, comm_snr_db):
-        # nan used to fail as "budgets must be finite", 1e5 as an OverflowError
-        with pytest.raises(ValidationError, match="^comm_snr_db must be"):
-            run_trial(tiny_config(), 0, comm_snr_db)
-
-    def test_matches_batch_path(self):
-        cfg = tiny_config(solver="fdm_md")
-        ctx = pipeline.build_context(cfg, "comm_snr", 10.0, 0)
-        out, = pipeline.run_trials_batch([(ctx, [5])])
-        single = run_trial(cfg, 5)
-        assert single == (int(out["labels"][0]), int(out["preds"][0]),
-                          float(out["mse"][0]), float(out["md"][0]))
 
 
 def _draw_trials_reference(ctx, trial_indices):
@@ -362,20 +388,6 @@ class TestSweep:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
-
-    @pytest.mark.parametrize("env", ["0", "-4", "x", "2.7"])
-    def test_bad_workers_env_names_the_variable(self, monkeypatch, env):
-        monkeypatch.setenv(pipeline.WORKERS_ENV, env)
-        with pytest.raises(ValidationError, match=pipeline.WORKERS_ENV):
-            sweep(tiny_config(trials=2), "comm_snr", [10.0])
-
-    def test_workers_env_variable(self, monkeypatch):
-        monkeypatch.setenv(pipeline.WORKERS_ENV, "2")
-        cfg = tiny_config(trials=30)
-        rec = sweep(cfg, "comm_snr", [10.0])[0]
-        monkeypatch.setenv(pipeline.WORKERS_ENV, "1")
-        rec1 = sweep(cfg, "comm_snr", [10.0])[0]
-        assert rec.acc_mean == rec1.acc_mean
 
     @pytest.mark.parametrize("solver", ["tdm_mse", "tdm_md"])
     def test_tdm_solvers_are_worker_invariant(self, tmp_path, solver):
@@ -606,6 +618,29 @@ class TestExport:
         assert "0.333333333" in path.read_text()
 
 
+def _estimator_sweep_reference(prior, num_devices, snr_db, trials, seed):
+    """The estimator sweep's first point, with every estimator run on all
+    trials of a device at once."""
+    svar = float(np.mean(prior.variances)) / 10.0 ** (snr_db / 10.0)
+    children = np.random.SeedSequence(
+        seed, spawn_key=(pipeline._DOM_EST_SWEEP, 0)).spawn(1 + num_devices)
+    labels, X = sample_arrays(prior, trials, children[0])
+    X_tilde = np.stack([observe_batch(X, svar, child) for child in children[1:]], axis=1)
+    per_trial_mse, acc, acc_std = {}, {}, {}
+    for tag in ("ml", "rwb", "mmse"):
+        X_hat = np.stack([estimate_batch(tag, prior, X_tilde[:, k, :], svar, labels=labels)[0]
+                          for k in range(num_devices)], axis=1)
+        per_trial_mse[tag] = np.mean((X_hat - X[:, None, :]) ** 2, axis=(1, 2))
+        correct = (map_classify_batch(prior, X_hat.mean(axis=1)) == labels).astype(float)
+        acc[tag], acc_std[tag] = float(correct.mean()), float(correct.std(ddof=1))
+    gaps = (per_trial_mse["rwb"] - per_trial_mse["ml"],
+            per_trial_mse["mmse"] - per_trial_mse["rwb"])
+    return pipeline.EstimatorSweepRecord(
+        sensing_snr_db=snr_db, mse={tag: float(v.mean()) for tag, v in per_trial_mse.items()},
+        acc=acc, acc_std=acc_std, se_gap_rwb_ml=float(gaps[0].std(ddof=1) / np.sqrt(trials)),
+        se_gap_mmse_rwb=float(gaps[1].std(ddof=1) / np.sqrt(trials)))
+
+
 class TestEstimatorSweep:
     def test_ordering_and_convergence_clauses(self):
         prior = default_prior()
@@ -630,6 +665,14 @@ class TestEstimatorSweep:
         with pytest.raises(ValidationError, match=name):
             pipeline.estimator_sweep(default_prior(), args["num_devices"], [0.0],
                                      args["trials"], args["seed"])
+
+    def test_blocks_match_one_unblocked_pass(self):
+        # 2 * CHUNK_TRIALS + 1 trials: three blocks, the last of one row
+        prior = default_prior()
+        trials = 2 * pipeline.CHUNK_TRIALS + 1
+        rec, = pipeline.estimator_sweep(prior, 3, [2.0], trials, seed=8)
+        want = _estimator_sweep_reference(prior, 3, 2.0, trials, seed=8)
+        assert rec == want
 
     def test_export(self, tmp_path):
         prior = default_prior()

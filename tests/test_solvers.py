@@ -1399,3 +1399,84 @@ class TestRxHelpers:
             assert total(rx * bump) >= best - 1e-12
         assert total(rx) == pytest.approx(
             np.sum(mse_min_rx(inst.gains, tx, inst.est_vars, inst.noise_var)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# solver properties
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _random_stacks(draw, name, size):
+    """solve_batch inputs of `size` instances for solver `name` on K <= 4
+    devices: `random_tdm_instance` slots (homogeneous variances for tdm_md)
+    or `random_fdm_instance`s on N <= 4 subcarriers, from a seed that
+    hypothesis draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K = draw(st.integers(1, 4))
+    if name in TDM_SOLVERS:
+        return _stack([random_tdm_instance(rng, K, homogeneous_vars=name == "tdm_md")
+                       for _ in range(size)])
+    N = draw(st.integers(1, 4))
+    return _stack([random_fdm_instance(rng, K, N) for _ in range(size)])
+
+
+def _objectives(name, batch, tx, rx):
+    """Each instance's objective of solver `name`'s designs (tx, rx): the
+    received MD for the MD designs, else the MSE at rx."""
+    gains, _, _, est_vars, noise, delta = batch
+    if name.endswith("_md"):
+        return np.sum(md_received(gains, tx, est_vars, noise[:, None], delta), axis=-1)
+    return mse_at_rx(gains, tx, rx, est_vars, noise)
+
+
+@pytest.mark.parametrize("name", ["tdm_mse", "tdm_md", "fdm_mse", "fdm_md", "equal"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scaling_budgets_and_noise_by_4_to_the_j_scales_the_design_exactly(name, data):
+    # 200 instances a solver.  channel_inversion is left out: its cap
+    # 1 / gains is absolute.  The KKT residuals may drift in the last bit.
+    gains, budgets, moments, est_vars, noise, delta = data.draw(_random_stacks(name, 10))
+    j = data.draw(st.integers(-60, 60))
+    tx, rx, _ = solve_batch(name, gains, budgets, moments, est_vars, noise, delta)
+    tx_c, rx_c, _ = solve_batch(name, gains, budgets * 4.0 ** j, moments, est_vars,
+                                noise * 4.0 ** j, delta)
+    assert tx_c.tobytes() == (tx * 2.0 ** j).tobytes()
+    assert rx_c.tobytes() == (rx * 2.0 ** -j).tobytes()
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_device_order_leaves_the_objective(name, data):
+    # 300 instances a solver
+    batch = data.draw(_random_stacks(name, 20))
+    perm = np.array(data.draw(st.permutations(range(batch[0].shape[1]))))
+    permuted = tuple(a[:, perm] for a in batch[:4]) + batch[4:]
+    got = _objectives(name, permuted, *solve_batch(name, *permuted)[:2])
+    want = _objectives(name, batch, *solve_batch(name, *batch)[:2])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("name", ["fdm_mse", "fdm_md"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_larger_budgets_never_worsen_the_objective(name, data):
+    # 300 instances a solver, each budget times a factor in [1, 4]
+    batch = data.draw(_random_stacks(name, 20))
+    factors = data.draw(hnp.arrays(np.float64, batch[1].shape, elements=st.floats(1.0, 4.0)))
+    larger = (batch[0], batch[1] * factors) + batch[2:]
+    got = _objectives(name, larger, *solve_batch(name, *larger)[:2])
+    want = _objectives(name, batch, *solve_batch(name, *batch)[:2])
+    if name == "fdm_mse":
+        assert np.all(got <= want * (1 + 1e-12))
+    else:
+        assert np.all(got >= want * (1 - 1e-12))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(batch=_random_stacks("fdm_md", 20))
+def test_the_md_design_dominates_the_mse_design_in_md(batch):
+    # 300 instances
+    md_of_mse = _objectives("fdm_md", batch, *solve_batch("fdm_mse", *batch)[:2])
+    md_of_md = _objectives("fdm_md", batch, *solve_batch("fdm_md", *batch)[:2])
+    assert np.all(md_of_mse <= md_of_md * (1 + 1e-12))
